@@ -392,11 +392,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact terms outgrow the interpreter's int-to-str digit limit (4300 by
+    # default where it exists), so printing them needs it lifted. Only for
+    # the command itself: argument parsing keeps the limit on untrusted input.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

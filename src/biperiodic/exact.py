@@ -6,14 +6,16 @@ rational discriminant D (:class:`QuadElement`), and 2x2 matrices over either
 scalar kind (:class:`Mat2`).
 
 Everything is immutable and every operation is a pure function, so values are
-safe to share between threads. No floats appear anywhere: equality of results
-is exact structural equality of canonical forms.
+safe to share between threads (a :class:`Mat2` caches derived forms of its own
+value; two threads filling the cache at once store equal values). No floats
+appear anywhere: equality of results is exact structural equality of
+canonical forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 Rational = Fraction
 """Base scalar. ``fractions.Fraction`` already guarantees the canonical form
@@ -217,6 +219,24 @@ def _inverse_scalar(c: Scalar) -> Scalar:
     return 1 / Fraction(c)
 
 
+IntForm = tuple[int, int, int, int, int]
+"""(n11, n12, n21, n22, d): a rational matrix equal to [[n11, n12], [n21, n22]] / d,
+canonical when d > 0 and gcd(n11, n12, n21, n22, d) = 1."""
+
+
+def _integer_form(entries) -> IntForm | tuple[()]:
+    """The canonical integer form of four Fractions, or () if an entry is not one.
+
+    d is the lcm of the (reduced) denominators, so every prime of d divides
+    some entry's denominator to the full power and leaves that numerator
+    coprime: the five integers share no factor.
+    """
+    if not all(isinstance(e, Fraction) for e in entries):
+        return ()
+    d = lcm(*(e.denominator for e in entries))
+    return (*(e.numerator * (d // e.denominator) for e in entries), d)
+
+
 class Mat2:
     """2x2 matrix over one scalar kind (all-Fraction or all-QuadElement).
 
@@ -225,36 +245,88 @@ class Mat2:
     :meth:`trace`. Multiplying by a QuadElement scalar lifts a rational
     matrix into Q(sqrt(D)); :meth:`to_rational` goes back down and raises
     :class:`IrrationalResidue` if any sqrt part survives normalization.
+
+    Storage. A rational matrix is held as four integer numerators over one
+    positive common denominator, with no factor shared by all five (see
+    :data:`IntForm`). That form is canonical, so ``+ - *``, negation, scalar
+    ``*`` and ``/`` by ``int``/``Fraction``, :meth:`det`, :meth:`trace`,
+    ``**`` and ``==`` run on plain ints and build no Fraction per operation.
+    The entries ``e11``, ``e12``, ``e21``, ``e22`` (and :meth:`entries`,
+    :meth:`rows`) are read-only Fraction views. Both forms are lazy: a
+    matrix built from Fractions keeps them and derives the integer form on
+    its first arithmetic use; a matrix produced by integer arithmetic builds
+    its Fractions only when an entry is read. Either is cached once built.
+    Matrices with any QuadElement (or other non-Fraction) entry use
+    entry-wise arithmetic on their stored entries.
+
+    Cost model. A product is eight integer multiplies and one gcd of the
+    new denominator with the four numerators; a sum is one gcd of the two
+    denominators, then a gcd of that with the numerators only when it is
+    not 1; a product with p/q takes gcd(p, d) and gcd(q, numerators), so
+    small scalars cost small gcds. The entry-wise Fraction form instead
+    pays a gcd and an object per entry per operation.
     """
 
-    __slots__ = ("e11", "e12", "e21", "e22")
+    __slots__ = ("_entries", "_form")
 
     def __init__(self, e11, e12, e21, e22):
-        self.e11 = _coerce_entry(e11)
-        self.e12 = _coerce_entry(e12)
-        self.e21 = _coerce_entry(e21)
-        self.e22 = _coerce_entry(e22)
+        self._entries = (
+            _coerce_entry(e11), _coerce_entry(e12), _coerce_entry(e21), _coerce_entry(e22)
+        )
+        self._form = None
+
+    def _int_form(self) -> IntForm | tuple[()]:
+        form = self._form
+        if form is None:
+            form = self._form = _integer_form(self._entries)
+        return form
 
     @classmethod
     def identity(cls) -> Mat2:
-        return cls(1, 0, 0, 1)
+        return _from_form((1, 0, 0, 1, 1))
 
     @classmethod
     def zero(cls) -> Mat2:
-        return cls(0, 0, 0, 0)
+        return _from_form((0, 0, 0, 0, 1))
 
     def identity_like(self) -> Mat2:
+        if self._int_form():
+            return Mat2.identity()
         one = _one_like(self.e11)
         return Mat2(one, one - one, one - one, one)
 
     def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        return (self.e11, self.e12, self.e21, self.e22)
+        entries = self._entries
+        if entries is None:
+            n11, n12, n21, n22, d = self._form
+            entries = self._entries = (
+                Fraction(n11, d), Fraction(n12, d), Fraction(n21, d), Fraction(n22, d)
+            )
+        return entries
+
+    @property
+    def e11(self) -> Scalar:
+        return self.entries()[0]
+
+    @property
+    def e12(self) -> Scalar:
+        return self.entries()[1]
+
+    @property
+    def e21(self) -> Scalar:
+        return self.entries()[2]
+
+    @property
+    def e22(self) -> Scalar:
+        return self.entries()[3]
 
     def rows(self) -> list[list[Scalar]]:
-        return [[self.e11, self.e12], [self.e21, self.e22]]
+        e11, e12, e21, e22 = self.entries()
+        return [[e11, e12], [e21, e22]]
 
     def map(self, fn) -> Mat2:
-        return Mat2(fn(self.e11), fn(self.e12), fn(self.e21), fn(self.e22))
+        e11, e12, e21, e22 = self.entries()
+        return Mat2(fn(e11), fn(e12), fn(e21), fn(e22))
 
     def lift(self, disc: RationalLike) -> Mat2:
         """Embed a rational matrix into Q(sqrt(disc))."""
@@ -269,42 +341,58 @@ class Mat2:
     def __add__(self, other) -> Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
-            self.e11 + other.e11,
-            self.e12 + other.e12,
-            self.e21 + other.e21,
-            self.e22 + other.e22,
-        )
+        x, y = self._int_form(), other._int_form()
+        if x and y:
+            return _add_forms(x, y)
+        a11, a12, a21, a22 = self.entries()
+        b11, b12, b21, b22 = other.entries()
+        return Mat2(a11 + b11, a12 + b12, a21 + b21, a22 + b22)
 
     def __sub__(self, other) -> Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
-            self.e11 - other.e11,
-            self.e12 - other.e12,
-            self.e21 - other.e21,
-            self.e22 - other.e22,
-        )
+        x, y = self._int_form(), other._int_form()
+        if x and y:
+            n11, n12, n21, n22, d = y
+            return _add_forms(x, (-n11, -n12, -n21, -n22, d))
+        a11, a12, a21, a22 = self.entries()
+        b11, b12, b21, b22 = other.entries()
+        return Mat2(a11 - b11, a12 - b12, a21 - b21, a22 - b22)
 
     def __neg__(self) -> Mat2:
+        x = self._int_form()
+        if x:
+            n11, n12, n21, n22, d = x
+            return _from_form((-n11, -n12, -n21, -n22, d))
         return self.map(lambda e: -e)
 
     def __mul__(self, other) -> Mat2:
         if isinstance(other, Mat2):
+            x, y = self._int_form(), other._int_form()
+            if x and y:
+                return _mul_forms(x, y)
+            a11, a12, a21, a22 = self.entries()
+            b11, b12, b21, b22 = other.entries()
             return Mat2(
-                self.e11 * other.e11 + self.e12 * other.e21,
-                self.e11 * other.e12 + self.e12 * other.e22,
-                self.e21 * other.e11 + self.e22 * other.e21,
-                self.e21 * other.e12 + self.e22 * other.e22,
+                a11 * b11 + a12 * b21,
+                a11 * b12 + a12 * b22,
+                a21 * b11 + a22 * b21,
+                a21 * b12 + a22 * b22,
             )
-        if isinstance(other, (int, Fraction, QuadElement)):
-            return self.map(lambda e: e * other)
-        return NotImplemented
+        return self._times_scalar(other)
 
     def __rmul__(self, other) -> Mat2:
-        if isinstance(other, (int, Fraction, QuadElement)):
-            return self.map(lambda e: other * e)
-        return NotImplemented
+        # scalars commute with matrices over either scalar kind
+        return self._times_scalar(other)
+
+    def _times_scalar(self, c) -> Mat2:
+        if isinstance(c, (int, Fraction)):
+            x = self._int_form()
+            if x:
+                return _scale_form(x, c.numerator, c.denominator)
+        elif not isinstance(c, QuadElement):
+            return NotImplemented
+        return self.map(lambda e: e * c)
 
     def __truediv__(self, other) -> Mat2:
         if isinstance(other, (int, Fraction, QuadElement)):
@@ -324,26 +412,101 @@ class Mat2:
         return result
 
     def det(self) -> Scalar:
-        return self.e11 * self.e22 - self.e12 * self.e21
+        x = self._int_form()
+        if x:
+            n11, n12, n21, n22, d = x
+            return Fraction(n11 * n22 - n12 * n21, d * d)
+        e11, e12, e21, e22 = self.entries()
+        return e11 * e22 - e12 * e21
 
     def trace(self) -> Scalar:
+        x = self._int_form()
+        if x:
+            return Fraction(x[0] + x[3], x[4])
         return self.e11 + self.e22
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return (
-            self.e11 == other.e11
-            and self.e12 == other.e12
-            and self.e21 == other.e21
-            and self.e22 == other.e22
-        )
+        if self._entries is not None and other._entries is not None:
+            return self._entries == other._entries
+        x, y = self._int_form(), other._int_form()
+        if x and y:
+            return x == y
+        return self.entries() == other.entries()
 
     def __bool__(self) -> bool:
-        return bool(self.e11) or bool(self.e12) or bool(self.e21) or bool(self.e22)
+        entries = self._entries
+        if entries is None:
+            return any(self._form[:4])
+        return any(entries)
 
     def __repr__(self) -> str:
         return f"Mat2({self.e11!r}, {self.e12!r}, {self.e21!r}, {self.e22!r})"
 
     def __str__(self) -> str:
         return f"[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"
+
+
+def _from_form(form: IntForm) -> Mat2:
+    """A Mat2 over a canonical integer form; its Fractions are built on read."""
+    m = object.__new__(Mat2)
+    m._entries = None
+    m._form = form
+    return m
+
+
+def _mul_forms(x: IntForm, y: IntForm) -> Mat2:
+    a11, a12, a21, a22, d1 = x
+    b11, b12, b21, b22, d2 = y
+    d = d1 * d2
+    n11 = a11 * b11 + a12 * b21
+    n12 = a11 * b12 + a12 * b22
+    n21 = a21 * b11 + a22 * b21
+    n22 = a21 * b12 + a22 * b22
+    # denominator first: gcd stops dividing once the running value is 1
+    g = gcd(d, n11, n12, n21, n22)
+    if g == 1:
+        return _from_form((n11, n12, n21, n22, d))
+    return _from_form((n11 // g, n12 // g, n21 // g, n22 // g, d // g))
+
+
+def _add_forms(x: IntForm, y: IntForm) -> Mat2:
+    """x + y reduced the way Fraction adds: with g = gcd(d1, d2), a prime
+    shared by the sum's numerators and denominator can only come from g, so
+    gcd(g, numerators) is the whole common factor."""
+    a11, a12, a21, a22, d1 = x
+    b11, b12, b21, b22, d2 = y
+    g = gcd(d1, d2)
+    if g == 1:
+        return _from_form((
+            a11 * d2 + b11 * d1,
+            a12 * d2 + b12 * d1,
+            a21 * d2 + b21 * d1,
+            a22 * d2 + b22 * d1,
+            d1 * d2,
+        ))
+    s, t = d1 // g, d2 // g
+    n11 = a11 * t + b11 * s
+    n12 = a12 * t + b12 * s
+    n21 = a21 * t + b21 * s
+    n22 = a22 * t + b22 * s
+    g = gcd(g, n11, n12, n21, n22)
+    if g == 1:
+        return _from_form((n11, n12, n21, n22, s * d2))
+    return _from_form((n11 // g, n12 // g, n21 // g, n22 // g, s * (d2 // g)))
+
+
+def _scale_form(x: IntForm, p: int, q: int) -> Mat2:
+    """x times p/q (gcd(p, q) = 1, q > 0). p can share a factor only with d
+    and q only with the numerators, so two small gcds reduce the result."""
+    n11, n12, n21, n22, d = x
+    g = gcd(p, d)
+    if g != 1:
+        p //= g
+        d //= g
+    g = gcd(q, n11, n12, n21, n22)
+    if g != 1:
+        q //= g
+        n11, n12, n21, n22 = n11 // g, n12 // g, n21 // g, n22 // g
+    return _from_form((p * n11, p * n12, p * n21, p * n22, q * d))

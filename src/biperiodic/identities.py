@@ -41,6 +41,11 @@ def default_grid() -> list[SeqParams]:
     return [SeqParams(a, b) for a in GRID_VALUES for b in GRID_VALUES]
 
 
+class ReportFormatError(ValueError):
+    """A document given to :meth:`SuiteReport.from_json_dict` is not a
+    well-formed suite report (missing key, wrong type, unparsable value)."""
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
@@ -153,17 +158,30 @@ class SuiteReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> SuiteReport:
-        return cls(
-            suite=d["suite"],
-            params=[SeqParams(Fraction(p["a"]), Fraction(p["b"])) for p in d["params"]],
-            checks_run=d["checks_run"],
-            failures=[_check_from_dict(c, holds=False) for c in d["failures"]],
-            skipped=[SkipRecord(s["name"], s["reason"]) for s in d["skipped"]],
-            expected_failures=[
-                ExpectedFailure(_check_from_dict(c, holds=False), c["reason"])
-                for c in d.get("expected_failures", [])
-            ],
-        )
+        """Rebuild a report from :meth:`to_json_dict` output.
+
+        Raises :class:`ReportFormatError` if ``d`` is not such a document.
+        """
+        try:
+            report = cls(
+                suite=d["suite"],
+                params=[SeqParams(Fraction(p["a"]), Fraction(p["b"])) for p in d["params"]],
+                checks_run=d["checks_run"],
+                failures=[_check_from_dict(c, holds=False) for c in d["failures"]],
+                skipped=[SkipRecord(s["name"], s["reason"]) for s in d["skipped"]],
+                expected_failures=[
+                    ExpectedFailure(_check_from_dict(c, holds=False), c["reason"])
+                    for c in d.get("expected_failures", [])
+                ],
+            )
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ReportFormatError(f"malformed suite report: {exc!r}") from exc
+        if not isinstance(report.suite, str) or type(report.checks_run) is not int:
+            raise ReportFormatError(
+                "malformed suite report: 'suite' must be a string and "
+                "'checks_run' an integer"
+            )
+        return report
 
 
 def _closed_providers(params, fib, lucas):

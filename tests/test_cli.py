@@ -51,6 +51,38 @@ class TestTerm:
         assert code == 0
         assert json.loads(out) == [["0", "3/2"], ["1", "-3"]]
 
+    def test_term_beyond_int_str_digit_limit(self, capsys):
+        # F_21000 has 4389 digits, over the interpreter's default limit of 4300
+        has_limit = hasattr(sys, "get_int_max_str_digits")
+        limit = sys.get_int_max_str_digits() if has_limit else None
+        code, out, _ = run_cli(
+            capsys, "term", "--kind", "fib", "--a", "1", "--b", "1", "--n", "21000"
+        )
+        assert code == 0
+        if has_limit:
+            assert sys.get_int_max_str_digits() == limit
+        prev, cur = 0, 1
+        for _ in range(21000 - 1):
+            prev, cur = cur, prev + cur
+        if has_limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{cur}\n"
+        finally:
+            if has_limit:
+                sys.set_int_max_str_digits(limit)
+        assert out == expected
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_argument_parsing_keeps_digit_limit(self, capsys):
+        huge = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["term", "--kind", "fib", "--a", "1", "--b", "1", "--n", huge])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
     def test_binet_source_on_degenerate_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "term", "--kind", "lucas-matrix", "--a", "2", "--b=-2",

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -215,3 +216,130 @@ class TestMat2:
 
     def test_trace(self):
         assert Mat2(1, 2, 3, 4).trace() == 5
+
+
+def _entrywise(a, b, op):
+    return tuple(op(x, y) for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    """Entry-wise Fraction product of two row-major 4-tuples."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        a11 * b11 + a12 * b21,
+        a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21,
+        a21 * b12 + a22 * b22,
+    )
+
+
+def _ref_pow(a, n):
+    result = (F(1), F(0), F(0), F(1))
+    for _ in range(n):
+        result = _ref_mul(result, a)
+    return result
+
+
+def _fraction_entries(m):
+    entries = m.entries()
+    assert all(type(e) is F for e in entries)
+    return entries
+
+
+four_rationals = st.tuples(rationals, rationals, rationals, rationals)
+scalars = st.one_of(rationals, st.integers(-30, 30))
+
+
+class TestMat2IntegerForm:
+    """Integer-form arithmetic against an entry-wise Fraction reference."""
+
+    @given(four_rationals, four_rationals)
+    def test_add_sub_mul(self, x, y):
+        a, b = Mat2(*x), Mat2(*y)
+        assert _fraction_entries(a + b) == _entrywise(x, y, operator.add)
+        assert _fraction_entries(a - b) == _entrywise(x, y, operator.sub)
+        assert _fraction_entries(a * b) == _ref_mul(x, y)
+        assert _fraction_entries(-a) == tuple(-u for u in x)
+
+    @given(four_rationals, four_rationals, four_rationals)
+    def test_chained_results_stay_canonical(self, x, y, z):
+        # operands that were themselves produced by integer arithmetic
+        a, b, c = Mat2(*x), Mat2(*y), Mat2(*z)
+        ref_ab = _ref_mul(x, y)
+        assert _fraction_entries(a * b + c) == _entrywise(ref_ab, z, operator.add)
+        assert _fraction_entries(a * b - c * c) == _entrywise(
+            ref_ab, _ref_mul(z, z), operator.sub
+        )
+        assert a * b - c == Mat2(*_entrywise(ref_ab, z, operator.sub))
+
+    @given(four_rationals, scalars)
+    def test_scalar_mul_and_div(self, x, c):
+        a = Mat2(*x)
+        want = tuple(u * c for u in x)
+        assert _fraction_entries(a * c) == want
+        assert _fraction_entries(c * a) == want
+        assert _fraction_entries((a * a) * c) == tuple(u * c for u in _ref_mul(x, x))
+        if c == 0:
+            with pytest.raises(ZeroDivisionError):
+                a / c
+        else:
+            assert _fraction_entries(a / c) == tuple(u / c for u in x)
+            assert _fraction_entries((a * a) / c) == tuple(u / c for u in _ref_mul(x, x))
+
+    @given(four_rationals, four_rationals)
+    def test_det_and_trace(self, x, y):
+        a = Mat2(*x)
+        prod = a * Mat2(*y)
+        ref = _ref_mul(x, y)
+        assert a.det() == x[0] * x[3] - x[1] * x[2]
+        assert a.trace() == x[0] + x[3]
+        assert prod.det() == ref[0] * ref[3] - ref[1] * ref[2]
+        assert prod.trace() == ref[0] + ref[3]
+        assert type(prod.det()) is F and type(prod.trace()) is F
+
+    @given(four_rationals, st.integers(0, 12))
+    def test_pow(self, x, n):
+        assert _fraction_entries(Mat2(*x) ** n) == _ref_pow(x, n)
+
+    @given(four_rationals, four_rationals)
+    def test_equality_matches_entries(self, x, y):
+        assert (Mat2(*x) == Mat2(*y)) == (x == y)
+        # one side in integer form only, the other with Fractions only
+        assert (Mat2(*x) * Mat2.identity() == Mat2(*y)) == (x == y)
+        assert (Mat2(*x) + Mat2.zero() == Mat2(*y) * 1) == (x == y)
+        prod = Mat2(*x) * Mat2(*y)
+        rebuilt = Mat2(*_ref_mul(x, y))
+        assert prod == rebuilt
+        assert rebuilt == prod
+        assert bool(prod) == any(_ref_mul(x, y))
+
+    def test_equality_across_construction_paths(self):
+        assert Mat2(F(2, 4), F(6, 3), 0, -1) == Mat2(F(1, 2), 2, F(0, 7), F(-3, 3))
+        assert Mat2(F(1, 2), 0, 0, 1) * 2 == Mat2(1, 0, 0, 2)
+        assert Mat2(F(1, 3), 0, 0, 0) + Mat2(F(2, 3), 0, 0, 0) == Mat2(1, 0, 0, 0)
+        assert Mat2(F(1, 6), F(1, 4), 0, 0) - Mat2(F(1, 6), F(1, 4), 0, 0) == Mat2.zero()
+        assert Mat2(F(1, 2), 1, 1, 0) != Mat2(F(1, 2), 1, 1, F(1, 2))
+
+    def test_entries_are_read_only(self):
+        a = Mat2(1, F(1, 2), 3, 4)
+        for name in ("e11", "e12", "e21", "e22"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, F(5))
+        assert a.entries() == (1, F(1, 2), 3, 4)
+
+    def test_integer_results_read_as_fractions(self):
+        a = Mat2(F(1, 2), 1, 1, 0) * Mat2(2, 0, 0, 2)
+        assert a.e11 == 1 and type(a.e11) is F
+        assert a.rows() == [[1, 2], [2, 0]]
+        assert repr(a) == "Mat2(Fraction(1, 1), Fraction(2, 1), Fraction(2, 1), Fraction(0, 1))"
+        assert str(a / 4) == "[[1/4, 1/2], [1/2, 0]]"
+
+    def test_quadratic_entries_keep_entrywise_path(self):
+        root = QuadElement.sqrt_disc(5)
+        lifted = Mat2(F(1, 2), 1, 1, 0).lift(5)
+        assert isinstance((lifted * lifted).e11, QuadElement)
+        assert (lifted * root * root).to_rational() == Mat2(F(1, 2), 1, 1, 0) * 5
+        assert root * lifted == lifted * root
+        assert (lifted - lifted) == Mat2.zero()
+        assert lifted.det() == F(-1)

@@ -5,6 +5,7 @@ import pytest
 from biperiodic.exact import Mat2
 from biperiodic.identities import (
     GRID_VALUES,
+    ReportFormatError,
     SuiteReport,
     default_grid,
     run_full_suite,
@@ -216,6 +217,26 @@ class TestReportSerialization:
         }
         assert doc["params"] == [{"a": "1", "b": "1"}]
         assert isinstance(doc["checks_run"], int)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc.pop("checks_run"),
+            lambda doc: doc["params"][0].pop("b"),
+            lambda doc: doc.update(params=5),
+            lambda doc: doc.update(checks_run="12"),
+            lambda doc: doc.update(failures=[{"name": "x"}]),
+            lambda doc: doc["params"][0].update(a="1/0"),
+        ],
+        ids=["missing-key", "missing-param-key", "params-not-list",
+             "checks-run-str", "partial-failure", "bad-rational"],
+    )
+    def test_malformed_doc_raises_report_format_error(self, mutate):
+        doc = run_full_suite([SeqParams(1, 1)], 1).to_json_dict()
+        mutate(doc)
+        with pytest.raises(ReportFormatError) as exc:
+            SuiteReport.from_json_dict(doc)
+        assert isinstance(exc.value, ValueError)
 
     def test_failure_records_serialize_matrices(self):
         from biperiodic.identities import IdentityCheck, _check_to_dict

@@ -128,6 +128,23 @@ class TestTripleAgreement:
             assert fib_matrix_binet(p, n) == cf, (p, n)
             assert lucas_matrix_binet(p, n) == cl, (p, n)
 
+    @pytest.mark.parametrize(
+        "p",
+        [SeqParams(F(1, 2), F(5, 3)), SeqParams(5, 7), SeqParams(1, -3)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("n", [257, 300])
+    def test_routes_agree_at_large_index(self, p, n):
+        # big common denominators: sums in the recurrence meet gcd(d1, d2) != 1
+        for rec, closed, binet in (
+            (fib_matrix_rec, fib_matrix_closed, fib_matrix_binet),
+            (lucas_matrix_rec, lucas_matrix_closed, lucas_matrix_binet),
+        ):
+            value = closed(p, n)
+            assert rec(p, n) == value, (p, n)
+            assert binet(p, n) == value, (p, n)
+            assert value == rec(p, n), (p, n)
+
     def test_headline_binet_form_agrees(self):
         # alternative closed form: F_n = A1 (alpha^n - beta^n)
         #   + B1 (alpha^(2 floor(n/2) + 2) - beta^(2 floor(n/2) + 2))
