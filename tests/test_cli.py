@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +290,36 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--a", "2", "--n-max", "2")
         assert code == 2
         assert "--a and --b" in err
+
+
+GOLDEN_DEFAULT = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden_verify.json").read_text()
+)
+
+
+class TestGoldenReports:
+    """sha256 of the whole verify report: any change to a record, its order
+    or its rendering changes the digest."""
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            ((), 0, GOLDEN_DEFAULT["stdout_sha256"]),
+            # ab = -4: the Binet comparisons are skip records
+            (("--a", "2", "--b=-2", "--n-max", "6"), 0,
+             "a46c5c27e01ee30fe36084ddad994f9e8c4f594d7cd66dbfc177206dfc88e28d"),
+            # a^2 = b^2: no thm6 negative control
+            (("--a", "1", "--b", "1", "--n-max", "4"), 0,
+             "b857aace85d115fc063344676e6456f7b84406d292f6de191f8164b1ddfc5cbb"),
+            (("--a=-3/2", "--b=5/3", "--n-max", "8"), 0,
+             "11ecc4127497e7030424f3c7f3586cc78f27b2f9af5f4f7db4e4cf8c4ca1bec0"),
+        ],
+        ids=["default", "degenerate", "unit-ratio", "rational"],
+    )
+    def test_report_digest(self, capsys, argv, code, digest):
+        got_code, out, _ = run_cli(capsys, "verify", *argv)
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_module_entry_point_runs():
