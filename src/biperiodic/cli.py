@@ -19,15 +19,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import islice
 
-from . import series as series_mod
-from .exact import Mat2
-from .identities import (
-    ExpectedFailure,
-    IdentityCheck,
-    SuiteReport,
-    default_grid,
-    run_full_suite,
-)
+from .exact import Mat2, parse_rational
+from .identities import default_grid, run_full_suite, run_series_suite
 from .matrixseq import (
     fib_matrix_binet,
     fib_matrix_closed,
@@ -38,10 +31,7 @@ from .matrixseq import (
     lucas_matrix_rec_iter,
 )
 from .sequences import SeqParams, l, q
-
-
-def _rec_terms(params: SeqParams, count: int):
-    return islice(lucas_matrix_rec_iter(params), count)
+from .series import lucas_generating_series
 
 SCALAR_KINDS = ("fib", "lucas")
 MATRIX_KINDS = ("fib-matrix", "lucas-matrix")
@@ -53,7 +43,7 @@ class CliError(Exception):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational 'p/q' or integer: {text!r}")
 
@@ -79,9 +69,8 @@ def _matrix_value(params: SeqParams, kind: str, n: int, source: str) -> Mat2:
         if kind == "fib-matrix"
         else (lucas_matrix_rec, lucas_matrix_closed, lucas_matrix_binet)
     )
-    if source in ("rec", "binet", "all") and n < 0:
-        if source != "all":
-            raise CliError(f"source '{source}' requires n >= 0; use --source closed")
+    if source in ("rec", "binet") and n < 0:
+        raise CliError(f"source '{source}' requires n >= 0; use --source closed")
     if source == "binet" and not params.binet_allowed:
         raise CliError("ab = -4 is degenerate: alpha = beta, Binet route unavailable")
     if source == "closed":
@@ -100,8 +89,10 @@ def _matrix_value(params: SeqParams, kind: str, n: int, source: str) -> Mat2:
     return values[0]
 
 
-def _scalar_value(params: SeqParams, kind: str, n: int) -> Fraction:
-    return q(params, n) if kind == "fib" else l(params, n)
+def _values(params: SeqParams, kind: str, indices, source: str) -> list[tuple]:
+    if kind in SCALAR_KINDS:
+        return [(n, q(params, n) if kind == "fib" else l(params, n)) for n in indices]
+    return [(n, _matrix_value(params, kind, n, source)) for n in indices]
 
 
 def _matrix_json(m: Mat2) -> list[list[str]]:
@@ -112,28 +103,26 @@ def _csv_lines(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows])
 
 
+def _values_csv(kind: str, values) -> str:
+    if kind in SCALAR_KINDS:
+        return _csv_lines("index,value", [f"{n},{v}" for n, v in values])
+    return _csv_lines(
+        "index,e11,e12,e21,e22",
+        [f"{n},{m.e11},{m.e12},{m.e21},{m.e22}" for n, m in values],
+    )
+
+
 def cmd_term(args) -> int:
     params = _make_params(args.a, args.b)
     source = _resolve_source(args.source, args.kind)
-    if args.kind in SCALAR_KINDS:
-        value = _scalar_value(params, args.kind, args.n)
-        if args.format == "json":
-            out = json.dumps(str(value))
-        elif args.format == "csv":
-            out = _csv_lines("index,value", [f"{args.n},{value}"])
-        else:
-            out = str(value)
+    values = _values(params, args.kind, [args.n], source)
+    if args.format == "json":
+        render = str if args.kind in SCALAR_KINDS else _matrix_json
+        out = json.dumps(render(values[0][1]), separators=(",", ":"))
+    elif args.format == "csv":
+        out = _values_csv(args.kind, values)
     else:
-        matrix = _matrix_value(params, args.kind, args.n, source)
-        if args.format == "json":
-            out = json.dumps(_matrix_json(matrix), separators=(",", ":"))
-        elif args.format == "csv":
-            out = _csv_lines(
-                "index,e11,e12,e21,e22",
-                [f"{args.n},{matrix.e11},{matrix.e12},{matrix.e21},{matrix.e22}"],
-            )
-        else:
-            out = str(matrix)
+        out = str(values[0][1])
     print(out)
     return 0
 
@@ -143,32 +132,16 @@ def cmd_table(args) -> int:
     source = _resolve_source(args.source, args.kind)
     if args.n_max < args.n:
         raise CliError("--n-max must be >= --n")
-    indices = range(args.n, args.n_max + 1)
-    if args.kind in SCALAR_KINDS:
-        values = [(n, _scalar_value(params, args.kind, n)) for n in indices]
-        if args.format == "json":
-            out = json.dumps(
-                [{"index": n, "value": str(v)} for n, v in values],
-                separators=(",", ":"),
-            )
-        elif args.format == "csv":
-            out = _csv_lines("index,value", [f"{n},{v}" for n, v in values])
-        else:
-            out = "\n".join(f"{n}: {v}" for n, v in values)
+    values = _values(params, args.kind, range(args.n, args.n_max + 1), source)
+    if args.format == "json":
+        key, render = ("value", str) if args.kind in SCALAR_KINDS else ("matrix", _matrix_json)
+        out = json.dumps(
+            [{"index": n, key: render(v)} for n, v in values], separators=(",", ":")
+        )
+    elif args.format == "csv":
+        out = _values_csv(args.kind, values)
     else:
-        values = [(n, _matrix_value(params, args.kind, n, source)) for n in indices]
-        if args.format == "json":
-            out = json.dumps(
-                [{"index": n, "matrix": _matrix_json(m)} for n, m in values],
-                separators=(",", ":"),
-            )
-        elif args.format == "csv":
-            out = _csv_lines(
-                "index,e11,e12,e21,e22",
-                [f"{n},{m.e11},{m.e12},{m.e21},{m.e22}" for n, m in values],
-            )
-        else:
-            out = "\n".join(f"{n}: {m}" for n, m in values)
+        out = "\n".join(f"{n}: {v}" for n, v in values)
     print(out)
     return 0
 
@@ -177,9 +150,9 @@ def cmd_series(args) -> int:
     if args.order < 1:
         raise CliError("order must be >= 1")
     params = _make_params(args.a, args.b)
-    expansion = series_mod.lucas_generating_series(params, args.order)
+    expansion = lucas_generating_series(params, args.order)
     rows = []
-    for k, term in enumerate(_rec_terms(params, args.order)):
+    for k, term in enumerate(islice(lucas_matrix_rec_iter(params), args.order)):
         coeff = expansion.coefficient(k)
         rows.append((k, coeff, term, coeff == term))
     if args.format == "json":
@@ -213,107 +186,6 @@ def cmd_series(args) -> int:
     return 0
 
 
-_NEGCTL_REASON = (
-    "negative control: this transcription variant is false by construction; "
-    "its failure proves the checker can fail"
-)
-
-
-def _series_report(grid, max_index: int, order: int) -> SuiteReport:
-    report = SuiteReport(suite="series", params=list(grid))
-    for params in grid:
-        k = series_mod.first_generating_mismatch(params, order)
-        if k is None:
-            report.checks_run += 1
-        else:
-            got = series_mod.lucas_generating_series(params, order).coefficient(k)
-            want = lucas_matrix_closed(params, k)
-            report.tally(
-                IdentityCheck("genfunc.coeffs", (order, k), params, got, want, False)
-            )
-
-        for n in range(0, max_index + 1):
-            mismatch = series_mod.finite_inverse_sum_mismatch(params, n)
-            if mismatch is None:
-                report.checks_run += 1
-            else:
-                exponent, lhs, rhs = mismatch
-                report.tally(
-                    IdentityCheck(
-                        "invsum.finite", (n, exponent), params, lhs, rhs, False
-                    )
-                )
-
-        k = series_mod.first_infinite_mismatch(params, order)
-        if k is None:
-            report.checks_run += 1
-        else:
-            got = series_mod.infinite_inverse_sum_series(params, order).coefficient(k)
-            want = lucas_matrix_closed(params, k)
-            report.tally(
-                IdentityCheck("invsum.infinite", (order, k), params, got, want, False)
-            )
-
-        for n in range(1, max_index + 1):
-            report.record(
-                "partialsum", (n,), params,
-                series_mod.lucas_partial_sum(params, n),
-                _direct_lucas_sum(params, n),
-            )
-
-        # negative controls: counted as checks; the expected outcome is failure
-        report.checks_run += 1
-        mismatch = series_mod.finite_inverse_sum_mismatch(params, 2, negative_control=True)
-        if mismatch is None:
-            report.failures.append(
-                IdentityCheck(
-                    "invsum.finite.negctl.unexpectedly-true", (2,), params,
-                    None, None, False,
-                )
-            )
-        else:
-            exponent, lhs, rhs = mismatch
-            report.expected_failures.append(
-                ExpectedFailure(
-                    IdentityCheck(
-                        "invsum.finite.negctl", (2, exponent), params, lhs, rhs, False
-                    ),
-                    _NEGCTL_REASON,
-                )
-            )
-
-        report.checks_run += 1
-        k = series_mod.first_infinite_mismatch(params, 8, negative_control=True)
-        if k is None:
-            report.failures.append(
-                IdentityCheck(
-                    "invsum.infinite.negctl.unexpectedly-true", (8,), params,
-                    None, None, False,
-                )
-            )
-        else:
-            got = series_mod.infinite_inverse_sum_series(
-                params, 8, negative_control=True
-            ).coefficient(k)
-            want = lucas_matrix_closed(params, k)
-            report.expected_failures.append(
-                ExpectedFailure(
-                    IdentityCheck(
-                        "invsum.infinite.negctl", (8, k), params, got, want, False
-                    ),
-                    _NEGCTL_REASON,
-                )
-            )
-    return report
-
-
-def _direct_lucas_sum(params: SeqParams, n: int) -> Mat2:
-    total = Mat2.zero()
-    for term in _rec_terms(params, n):
-        total = total + term
-    return total
-
-
 def _resolve_grid(args) -> list[SeqParams]:
     if args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
@@ -329,7 +201,7 @@ def cmd_verify(args) -> int:
         raise CliError("order must be >= 1")
     grid = _resolve_grid(args)
     report = run_full_suite(grid, args.n_max)
-    report = report.merged_with(_series_report(grid, args.n_max, args.order), suite="full")
+    report = report.merged_with(run_series_suite(grid, args.n_max, args.order), suite="full")
     doc = report.to_json_dict()
     if args.timestamps:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()

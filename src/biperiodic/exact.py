@@ -14,6 +14,7 @@ canonical forms.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -36,6 +37,20 @@ class IrrationalResidue(ArithmeticError):
     was transcribed incorrectly, so it is surfaced loudly instead of being
     silently truncated.
     """
+
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written ``n`` or ``p/q`` in ASCII digits, nothing else.
+
+    Raises ValueError for any other spelling and ZeroDivisionError for q = 0.
+    The interpreter's int-to-str digit limit applies to each digit string.
+    """
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"not a rational 'p/q' or integer: {text!r}")
+    return Fraction(text)
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:

@@ -1,5 +1,6 @@
 """Exact verification of the product/power identities tying F_n and L_n
-together, plus the scalar and determinant cross-checks, with a uniform
+together, the scalar and determinant cross-checks, and the series facts
+(generating function, inverse-power sums, partial sums), with a uniform
 JSON-serializable report.
 
 Chained equalities are split into pairwise records so a failure localizes;
@@ -10,11 +11,14 @@ list is still a well-formed result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache, partial
+from itertools import islice
 
-from .exact import Mat2
+from .exact import Mat2, parse_rational
 from .matrixseq import (
+    cassini_lucas_sides,
     fib_matrix_binet,
     fib_matrix_closed,
     fib_matrix_rec_iter,
@@ -23,7 +27,16 @@ from .matrixseq import (
     lucas_matrix_closed,
     lucas_matrix_rec_iter,
 )
-from .sequences import SeqParams, eps, l, q
+from .sequences import SeqParams, eps, fib_from_lucas_sides, l, lucas_from_fib_sides
+from .series import (
+    direct_partial_sums,
+    finite_inverse_sum_mismatch,
+    first_generating_mismatch,
+    first_infinite_mismatch,
+    infinite_inverse_sum_series,
+    lucas_generating_series,
+    lucas_partial_sum,
+)
 
 GRID_VALUES = (
     Fraction(1),
@@ -85,9 +98,9 @@ def parse_value(v):
     if v is None:
         return None
     if isinstance(v, str):
-        return Fraction(v)
+        return parse_rational(v)
     (r11, r12), (r21, r22) = v
-    return Mat2(Fraction(r11), Fraction(r12), Fraction(r21), Fraction(r22))
+    return Mat2(*map(parse_rational, (r11, r12, r21, r22)))
 
 
 def _check_to_dict(c: IdentityCheck) -> dict:
@@ -100,8 +113,12 @@ def _check_to_dict(c: IdentityCheck) -> dict:
     }
 
 
+def _params_from_dict(d: dict) -> SeqParams:
+    return SeqParams(parse_rational(d["a"]), parse_rational(d["b"]))
+
+
 def _check_from_dict(d: dict, holds: bool) -> IdentityCheck:
-    params = SeqParams(Fraction(d["params"]["a"]), Fraction(d["params"]["b"]))
+    params = _params_from_dict(d["params"])
     return IdentityCheck(
         d["name"], tuple(d["indices"]), params, parse_value(d["lhs"]),
         parse_value(d["rhs"]), holds,
@@ -123,13 +140,23 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def tally(self, check: IdentityCheck) -> None:
-        self.checks_run += 1
-        if not check.holds:
-            self.failures.append(check)
+    def tally(self, *checks: IdentityCheck) -> None:
+        self.checks_run += len(checks)
+        self.failures.extend(c for c in checks if not c.holds)
 
     def record(self, name, idx, params, lhs, rhs) -> None:
         self.tally(_mk(name, idx, params, lhs, rhs))
+
+    def negative_control(self, check: IdentityCheck, reason: str) -> None:
+        """Count a check that must fail: failing, it is an expected failure;
+        holding, it is a failure named ``<name>.unexpectedly-true``."""
+        self.checks_run += 1
+        if check.holds:
+            self.failures.append(
+                replace(check, name=f"{check.name}.unexpectedly-true", holds=False)
+            )
+        else:
+            self.expected_failures.append(ExpectedFailure(check, reason))
 
     def merged_with(self, other: SuiteReport, suite: str | None = None) -> SuiteReport:
         params = list(self.params)
@@ -165,7 +192,7 @@ class SuiteReport:
         try:
             report = cls(
                 suite=d["suite"],
-                params=[SeqParams(Fraction(p["a"]), Fraction(p["b"])) for p in d["params"]],
+                params=[_params_from_dict(p) for p in d["params"]],
                 checks_run=d["checks_run"],
                 failures=[_check_from_dict(c, holds=False) for c in d["failures"]],
                 skipped=[SkipRecord(s["name"], s["reason"]) for s in d["skipped"]],
@@ -184,12 +211,25 @@ class SuiteReport:
         return report
 
 
-def _closed_providers(params, fib, lucas):
+def _providers(params, fib=None, lucas=None):
+    """k -> F_k and k -> L_k: the given ones, else the closed form, each
+    index computed once."""
     if fib is None:
-        fib = lambda k: fib_matrix_closed(params, k)
+        fib = cache(lambda k: fib_matrix_closed(params, k))
     if lucas is None:
-        lucas = lambda k: lucas_matrix_closed(params, k)
+        lucas = cache(lambda k: lucas_matrix_closed(params, k))
     return fib, lucas
+
+
+def _cached_power(powers: dict, term, k: int, m: int) -> Mat2:
+    """term(k) ** m, grown as term(k) ** (m-1) * term(k) and kept in
+    ``powers``, so a run over increasing m costs one multiply per step."""
+    if m < 2:
+        return term(k) if m else Mat2.identity()
+    value = powers.get((term, k, m))
+    if value is None:
+        value = powers[term, k, m] = _cached_power(powers, term, k, m - 1) * term(k)
+    return value
 
 
 def thm6_suite(params: SeqParams, n: int, fib=None, lucas=None) -> list[IdentityCheck]:
@@ -201,9 +241,8 @@ def thm6_suite(params: SeqParams, n: int, fib=None, lucas=None) -> list[Identity
     control). n may be 0 or negative: index n-1 falls back to the closed
     form's backward extension.
     """
-    fib, lucas = _closed_providers(params, fib, lucas)
-    ba = params.b / params.a
-    ab_r = params.a / params.b
+    fib, lucas = _providers(params, fib, lucas)
+    ba, ab_r = params.b_over_a, params.a_over_b
     e, e1 = eps(n), eps(n + 1)
     l0_fn = lucas(0) * fib(n)
     mid_i = ba**e * lucas(n)
@@ -227,8 +266,8 @@ def thm6_iii_variant(params: SeqParams, n: int, fib=None, lucas=None) -> Identit
     returns -eps(n) uniquely); coincides with the true form when the ratio
     b/a is +-1.
     """
-    fib, lucas = _closed_providers(params, fib, lucas)
-    ba = params.b / params.a
+    fib, lucas = _providers(params, fib, lucas)
+    ba = params.b_over_a
     return _mk(
         "thm6.iii.negctl", (n,), params,
         fib(1) * lucas(n), ba ** eps(n) * (fib(n + 2) + fib(n)),
@@ -237,9 +276,8 @@ def thm6_iii_variant(params: SeqParams, n: int, fib=None, lucas=None) -> Identit
 
 def thm7_suite(params: SeqParams, m: int, n: int, fib=None, lucas=None) -> list[IdentityCheck]:
     """Addition-law identities F_m F_n, F_m L_n, L_m L_n (comm + closed)."""
-    fib, lucas = _closed_providers(params, fib, lucas)
-    ba = params.b / params.a
-    ab_r = params.a / params.b
+    fib, lucas = _providers(params, fib, lucas)
+    ba, ab_r = params.b_over_a, params.a_over_b
     fm_fn = fib(m) * fib(n)
     fm_ln = fib(m) * lucas(n)
     lm_ln = lucas(m) * lucas(n)
@@ -259,37 +297,35 @@ def thm7_suite(params: SeqParams, m: int, n: int, fib=None, lucas=None) -> list[
     ]
 
 
-def _thm8_power_checks(params, m, n, fib, lucas) -> list[IdentityCheck]:
-    ba = params.b / params.a
-    ab_r = params.a / params.b
+def _thm8_power_checks(params, m, n, fib, lucas, power) -> list[IdentityCheck]:
+    ba, ab_r = params.b_over_a, params.a_over_b
     en = eps(n)
     return [
         _mk(
-            "thm8.i", (m, n), params, fib(n) ** m,
+            "thm8.i", (m, n), params, power(fib, n, m),
             ba ** ((m // 2) * en) * fib(m * n),
         ),
         _mk(
-            "thm8.ii", (m, n), params, fib(n + 1) ** m,
-            ab_r ** (((m + 1) // 2) * en) * (fib(1) ** m * fib(m * n)),
+            "thm8.ii", (m, n), params, power(fib, n + 1, m),
+            ab_r ** (((m + 1) // 2) * en) * (power(fib, 1, m) * fib(m * n)),
         ),
         _mk(
-            "thm8.v", (m, n), params, lucas(0) ** m * fib(m * n),
-            ba ** (((m + 1) // 2) * en) * lucas(n) ** m,
+            "thm8.v", (m, n), params, power(lucas, 0, m) * fib(m * n),
+            ba ** (((m + 1) // 2) * en) * power(lucas, n, m),
         ),
     ]
 
 
-def _thm8_spread_checks(params, n, r, fib, lucas) -> list[IdentityCheck]:
-    ba = params.b / params.a
-    ab_r = params.a / params.b
+def _thm8_spread_checks(params, n, r, fib, lucas, power) -> list[IdentityCheck]:
+    ba, ab_r = params.b_over_a, params.a_over_b
     sign = (-1) ** n
-    mid = ba ** eps(n - r) * fib(2) ** n
+    mid = ba ** eps(n - r) * power(fib, 2, n)
     return [
         _mk("thm8.iii.1", (n, r), params, fib(n - r) * fib(n + r), mid),
-        _mk("thm8.iii.2", (n, r), params, mid, ba ** (sign * eps(r)) * fib(n) ** 2),
+        _mk("thm8.iii.2", (n, r), params, mid, ba ** (sign * eps(r)) * power(fib, n, 2)),
         _mk(
             "thm8.iv", (n, r), params, lucas(n - r) * lucas(n + r),
-            ab_r ** (sign * eps(r)) * lucas(n) ** 2,
+            ab_r ** (sign * eps(r)) * power(lucas, n, 2),
         ),
     ]
 
@@ -299,58 +335,25 @@ def thm8_suite(params: SeqParams, m: int, n: int, r: int, fib=None, lucas=None) 
     the empty-product convention: any matrix to the 0th power is I)."""
     if m < 0 or r < 0 or n < r:
         raise ValueError("need m >= 0 and n >= r >= 0")
-    fib, lucas = _closed_providers(params, fib, lucas)
-    return _thm8_power_checks(params, m, n, fib, lucas) + _thm8_spread_checks(
-        params, n, r, fib, lucas
+    fib, lucas = _providers(params, fib, lucas)
+    power = lambda term, k, e: term(k) ** e
+    return _thm8_power_checks(params, m, n, fib, lucas, power) + _thm8_spread_checks(
+        params, n, r, fib, lucas, power
     )
 
 
-def _cached_providers(params):
-    fib_cache: dict[int, Mat2] = {}
-    lucas_cache: dict[int, Mat2] = {}
-
-    def fib(k):
-        mat = fib_cache.get(k)
-        if mat is None:
-            mat = fib_matrix_closed(params, k)
-            fib_cache[k] = mat
-        return mat
-
-    def lucas(k):
-        mat = lucas_cache.get(k)
-        if mat is None:
-            mat = lucas_matrix_closed(params, k)
-            lucas_cache[k] = mat
-        return mat
-
-    return fib, lucas
-
-
 def _cross_checks(report: SuiteReport, params: SeqParams, max_index: int) -> None:
-    ba = params.b / params.a
-    ab4 = params.ab + 4
     for n in range(-max_index, max_index + 1):
-        report.record(
-            "lucas-from-fib", (n,), params, l(params, n),
-            q(params, n - 1) + q(params, n + 1),
-        )
-        report.record(
-            "fib-from-lucas", (n,), params, ab4 * q(params, n),
-            l(params, n + 1) + l(params, n - 1),
-        )
+        report.record("lucas-from-fib", (n,), params, *lucas_from_fib_sides(params, n))
+        report.record("fib-from-lucas", (n,), params, *fib_from_lucas_sides(params, n))
         closed = lucas_matrix_closed(params, n)
         report.record("det.formula", (n,), params, lucas_det(params, n), closed.det())
         report.record("entries.l", (n,), params, closed.e12, l(params, n))
         report.record(
-            "entries.l-scaled", (n,), params, closed.e21,
-            (params.a / params.b) * l(params, n),
+            "entries.l-scaled", (n,), params, closed.e21, params.a_over_b * l(params, n)
         )
         if n >= 1:
-            cassini_lhs = ba ** eps(n + 1) * l(params, n + 1) * l(params, n - 1)
-            cassini_lhs -= ba ** eps(n) * l(params, n) ** 2
-            report.record(
-                "cassini", (n,), params, cassini_lhs, ab4 * Fraction((-1) ** (n + 1))
-            )
+            report.record("cassini", (n,), params, *cassini_lucas_sides(params, n))
 
     rec_f = fib_matrix_rec_iter(params)
     rec_l = lucas_matrix_rec_iter(params)
@@ -374,55 +377,6 @@ def _cross_checks(report: SuiteReport, params: SeqParams, max_index: int) -> Non
         report.skipped.append(SkipRecord("triple.lucas.binet-closed", why))
 
 
-def _thm8_checks_fast(report: SuiteReport, params: SeqParams, max_index: int, fib, lucas) -> None:
-    # same records as thm8_suite, but powers grow by one multiply per step
-    ba = params.b / params.a
-    ab_r = params.a / params.b
-    identity = Mat2.identity()
-    f1, l0, f2 = fib(1), lucas(0), fib(2)
-    for n in range(0, max_index + 1):
-        fn, fn1, ln = fib(n), fib(n + 1), lucas(n)
-        en = eps(n)
-        pow_fn = pow_fn1 = pow_f1 = pow_l0 = pow_ln = identity
-        for m in range(0, max_index + 1):
-            report.record(
-                "thm8.i", (m, n), params, pow_fn,
-                ba ** ((m // 2) * en) * fib(m * n),
-            )
-            report.record(
-                "thm8.ii", (m, n), params, pow_fn1,
-                ab_r ** (((m + 1) // 2) * en) * (pow_f1 * fib(m * n)),
-            )
-            report.record(
-                "thm8.v", (m, n), params, pow_l0 * fib(m * n),
-                ba ** (((m + 1) // 2) * en) * pow_ln,
-            )
-            pow_fn = pow_fn * fn
-            pow_fn1 = pow_fn1 * fn1
-            pow_f1 = pow_f1 * f1
-            pow_l0 = pow_l0 * l0
-            pow_ln = pow_ln * ln
-
-    pow_f2 = identity
-    for n in range(0, max_index + 1):
-        fn_sq = fib(n) * fib(n)
-        ln_sq = lucas(n) * lucas(n)
-        sign = (-1) ** n
-        for r in range(0, n + 1):
-            mid = ba ** eps(n - r) * pow_f2
-            report.record(
-                "thm8.iii.1", (n, r), params, fib(n - r) * fib(n + r), mid
-            )
-            report.record(
-                "thm8.iii.2", (n, r), params, mid, ba ** (sign * eps(r)) * fn_sq
-            )
-            report.record(
-                "thm8.iv", (n, r), params, lucas(n - r) * lucas(n + r),
-                ab_r ** (sign * eps(r)) * ln_sq,
-            )
-        pow_f2 = pow_f2 * f2
-
-
 def run_full_suite(grid, max_index: int, suite: str = "identities") -> SuiteReport:
     """Run the sequence/matrix cross-checks and the full identity suite over
     every grid pair for all indices up to max_index.
@@ -434,34 +388,82 @@ def run_full_suite(grid, max_index: int, suite: str = "identities") -> SuiteRepo
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     report = SuiteReport(suite=suite, params=list(grid))
+    indices = range(0, max_index + 1)
     for params in report.params:
-        fib, lucas = _cached_providers(params)
+        fib, lucas = _providers(params)
         _cross_checks(report, params, max_index)
-        for n in range(0, max_index + 1):
-            for check in thm6_suite(params, n, fib, lucas):
-                report.tally(check)
+        for n in indices:
+            report.tally(*thm6_suite(params, n, fib, lucas))
         if max_index >= 1 and params.a * params.a != params.b * params.b:
-            # the inverted-ratio transcription must keep failing at odd n
-            report.checks_run += 1
-            variant = thm6_iii_variant(params, 1, fib, lucas)
-            if variant.holds:
-                report.failures.append(
-                    IdentityCheck(
-                        "thm6.iii.negctl.unexpectedly-true", (1,), params,
-                        variant.lhs, variant.rhs, False,
-                    )
-                )
-            else:
-                report.expected_failures.append(
-                    ExpectedFailure(
-                        variant,
-                        "negative control: inverted-ratio middle member is "
-                        "false at odd n whenever a^2 != b^2",
-                    )
-                )
-        for m in range(0, max_index + 1):
-            for n in range(0, max_index + 1):
-                for check in thm7_suite(params, m, n, fib, lucas):
-                    report.tally(check)
-        _thm8_checks_fast(report, params, max_index, fib, lucas)
+            report.negative_control(
+                thm6_iii_variant(params, 1, fib, lucas),
+                "negative control: inverted-ratio middle member is "
+                "false at odd n whenever a^2 != b^2",
+            )
+        for m in indices:
+            for n in indices:
+                report.tally(*thm7_suite(params, m, n, fib, lucas))
+        # the powers are shared across records: F_{n+1}^m at step n is
+        # F_n^m at step n+1, and F_1^m, L_0^m recur at every n
+        power = partial(_cached_power, {})
+        for n in indices:
+            for m in indices:
+                report.tally(*_thm8_power_checks(params, m, n, fib, lucas, power))
+        for n in indices:
+            for r in range(0, n + 1):
+                report.tally(*_thm8_spread_checks(params, n, r, fib, lucas, power))
+    return report
+
+
+_NEGCTL_REASON = (
+    "negative control: this transcription variant is false by construction; "
+    "its failure proves the checker can fail"
+)
+
+
+def _coefficient_check(name, params, order, first_mismatch, expand, **kw) -> IdentityCheck:
+    """The series ``expand`` against L_k at its first mismatch k, if any."""
+    k = first_mismatch(params, order, **kw)
+    if k is None:
+        return IdentityCheck(name, (order,), params, None, None, True)
+    got = expand(params, order, **kw).coefficient(k)
+    return IdentityCheck(name, (order, k), params, got, lucas_matrix_closed(params, k), False)
+
+
+def _finite_inverse_sum_check(name, params, n, negative_control=False) -> IdentityCheck:
+    mismatch = finite_inverse_sum_mismatch(params, n, negative_control)
+    if mismatch is None:
+        return IdentityCheck(name, (n,), params, None, None, True)
+    exponent, lhs, rhs = mismatch
+    return IdentityCheck(name, (n, exponent), params, lhs, rhs, False)
+
+
+def run_series_suite(grid, max_index: int, order: int) -> SuiteReport:
+    """Check the series facts of the Lucas matrix sequence for every grid
+    pair: the generating function and the full inverse-power sum to
+    ``order`` coefficients, the truncated inverse-power sum and the closed
+    partial sum for n up to max_index, and two negative controls."""
+    report = SuiteReport(suite="series", params=list(grid))
+    for params in report.params:
+        report.tally(_coefficient_check(
+            "genfunc.coeffs", params, order, first_generating_mismatch, lucas_generating_series
+        ))
+        for n in range(0, max_index + 1):
+            report.tally(_finite_inverse_sum_check("invsum.finite", params, n))
+        report.tally(_coefficient_check(
+            "invsum.infinite", params, order, first_infinite_mismatch, infinite_inverse_sum_series
+        ))
+        sums = islice(direct_partial_sums(params), 1, max_index + 1)
+        for n, direct in enumerate(sums, start=1):
+            report.record("partialsum", (n,), params, lucas_partial_sum(params, n), direct)
+        report.negative_control(
+            _finite_inverse_sum_check("invsum.finite.negctl", params, 2, True), _NEGCTL_REASON
+        )
+        report.negative_control(
+            _coefficient_check(
+                "invsum.infinite.negctl", params, 8, first_infinite_mismatch,
+                infinite_inverse_sum_series, negative_control=True,
+            ),
+            _NEGCTL_REASON,
+        )
     return report

@@ -18,68 +18,28 @@ The three routes must agree exactly; the closed form is
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .exact import Mat2
 from .sequences import BinetDegenerate, SeqParams, eps, floor_half, l, q
 
 
-class Source(enum.Enum):
-    """Which of the three computation routes produced a matrix term."""
-
-    RECURRENCE = "rec"
-    CLOSED_FORM = "closed"
-    BINET = "binet"
-
-
-@dataclass(frozen=True)
-class MatSeqTerm:
-    index: int
-    matrix: Mat2
-    source: Source
-
-
-def _fib_initial(params: SeqParams) -> tuple[Mat2, Mat2]:
+def _fib_seed(params: SeqParams):
+    """F_0, F_1 and the recurrence coefficients on even and odd steps."""
     a, b = params.a, params.b
-    return Mat2.identity(), Mat2(b, b / a, 1, 0)
+    return Mat2.identity(), Mat2(b, params.b_over_a, 1, 0), a, b
 
 
-def _lucas_initial(params: SeqParams) -> tuple[Mat2, Mat2]:
-    a, b = params.a, params.b
-    l0 = Mat2(a, 2, 2 * a / b, -a)
-    l1 = Mat2(a * a + 2 * a / b, a, a * a / b, 2 * a / b)
-    return l0, l1
+def _lucas_seed(params: SeqParams):
+    """L_0, L_1 and the recurrence coefficients on even and odd steps."""
+    a, b, a_b = params.a, params.b, params.a_over_b
+    l0 = Mat2(a, 2, 2 * a_b, -a)
+    l1 = Mat2(a * a + 2 * a_b, a, a * a_b, 2 * a_b)
+    return l0, l1, b, a
 
 
-def _run_recurrence(m0: Mat2, m1: Mat2, even: Fraction, odd: Fraction, n: int) -> Mat2:
-    if n == 0:
-        return m0
-    prev, cur = m0, m1
-    for k in range(2, n + 1):
-        c = even if k % 2 == 0 else odd
-        prev, cur = cur, c * cur + prev
-    return cur
-
-
-def fib_matrix_rec(params: SeqParams, n: int) -> Mat2:
-    """F_n by recurrence; coefficient a on even steps, b on odd, like q."""
-    if n < 0:
-        raise ValueError("the recurrence route needs n >= 0; use the closed form")
-    m0, m1 = _fib_initial(params)
-    return _run_recurrence(m0, m1, even=params.a, odd=params.b, n=n)
-
-
-def lucas_matrix_rec(params: SeqParams, n: int) -> Mat2:
-    """L_n by recurrence; coefficient a on odd steps, b on even, like l."""
-    if n < 0:
-        raise ValueError("the recurrence route needs n >= 0; use the closed form")
-    m0, m1 = _lucas_initial(params)
-    return _run_recurrence(m0, m1, even=params.b, odd=params.a, n=n)
-
-
-def _iter_recurrence(m0: Mat2, m1: Mat2, even: Fraction, odd: Fraction):
+def _recurrence(m0: Mat2, m1: Mat2, even: Fraction, odd: Fraction):
     prev, cur = m0, m1
     k = 1
     yield m0
@@ -90,30 +50,40 @@ def _iter_recurrence(m0: Mat2, m1: Mat2, even: Fraction, odd: Fraction):
         prev, cur = cur, c * cur + prev
 
 
-def fib_matrix_rec_iter(params: SeqParams, start: int = 0):
+def _term(terms, n: int) -> Mat2:
+    if n < 0:
+        raise ValueError("the recurrence route needs n >= 0; use the closed form")
+    return next(islice(terms, n, None))
+
+
+def fib_matrix_rec(params: SeqParams, n: int) -> Mat2:
+    """F_n by recurrence; coefficient a on even steps, b on odd, like q."""
+    return _term(_recurrence(*_fib_seed(params)), n)
+
+
+def lucas_matrix_rec(params: SeqParams, n: int) -> Mat2:
+    """L_n by recurrence; coefficient a on odd steps, b on even, like l."""
+    return _term(_recurrence(*_lucas_seed(params)), n)
+
+
+def fib_matrix_rec_iter(params: SeqParams):
     """Endless generator of F_0, F_1, ... by one recurrence step each."""
-    it = _iter_recurrence(*_fib_initial(params), even=params.a, odd=params.b)
-    for _ in range(start):
-        next(it)
-    return it
+    return _recurrence(*_fib_seed(params))
 
 
-def lucas_matrix_rec_iter(params: SeqParams, start: int = 0):
+def lucas_matrix_rec_iter(params: SeqParams):
     """Endless generator of L_0, L_1, ... by one recurrence step each."""
-    it = _iter_recurrence(*_lucas_initial(params), even=params.b, odd=params.a)
-    for _ in range(start):
-        next(it)
-    return it
+    return _recurrence(*_lucas_seed(params))
 
 
 def fib_matrix_closed(params: SeqParams, n: int) -> Mat2:
-    ba = params.b / params.a
+    ba = params.b_over_a
     w = ba ** eps(n)
     return Mat2(w * q(params, n + 1), ba * q(params, n), q(params, n), w * q(params, n - 1))
 
 
 def lucas_matrix_closed(params: SeqParams, n: int) -> Mat2:
-    ab = params.a / params.b
+    ab = params.a_over_b
     w = ab ** eps(n)
     return Mat2(w * l(params, n + 1), l(params, n), ab * l(params, n), w * l(params, n - 1))
 
@@ -136,7 +106,7 @@ def fib_matrix_binet(params: SeqParams, n: int) -> Mat2:
     _require_binet(params, n)
     a, b, ab = params.a, params.b, params.ab
     alpha, beta = params.alpha, params.beta
-    m0, m1 = _fib_initial(params)
+    m0, m1, _, _ = _fib_seed(params)
     f0 = m0.lift(params.disc)
     f1 = m1.lift(params.disc)
     if eps(n) == 0:
@@ -159,7 +129,7 @@ def lucas_matrix_binet(params: SeqParams, n: int) -> Mat2:
     _require_binet(params, n)
     b, ab = params.b, params.ab
     alpha, beta = params.alpha, params.beta
-    m0, m1 = _lucas_initial(params)
+    m0, m1, _, _ = _lucas_seed(params)
     l0 = m0.lift(params.disc)
     l1 = m1.lift(params.disc)
     num_a = b * l1 + (alpha - ab) * l0
@@ -169,34 +139,22 @@ def lucas_matrix_binet(params: SeqParams, n: int) -> Mat2:
     return combined.to_rational()
 
 
-_ROUTES = {
-    ("fib", Source.RECURRENCE): fib_matrix_rec,
-    ("fib", Source.CLOSED_FORM): fib_matrix_closed,
-    ("fib", Source.BINET): fib_matrix_binet,
-    ("lucas", Source.RECURRENCE): lucas_matrix_rec,
-    ("lucas", Source.CLOSED_FORM): lucas_matrix_closed,
-    ("lucas", Source.BINET): lucas_matrix_binet,
-}
-
-
-def fib_matrix(params: SeqParams, n: int, source: Source = Source.CLOSED_FORM) -> MatSeqTerm:
-    return MatSeqTerm(n, _ROUTES["fib", source](params, n), source)
-
-
-def lucas_matrix(params: SeqParams, n: int, source: Source = Source.CLOSED_FORM) -> MatSeqTerm:
-    return MatSeqTerm(n, _ROUTES["lucas", source](params, n), source)
-
-
 def lucas_det(params: SeqParams, n: int) -> Fraction:
     """det(L_n) = (ab+4) * (-a/b)^(1+eps(n)), any integer n."""
-    return (params.ab + 4) * (-params.a / params.b) ** (1 + eps(n))
+    return (params.ab + 4) * (-params.a_over_b) ** (1 + eps(n))
+
+
+def cassini_lucas_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:
+    """Both sides of
+    (b/a)^eps(n+1) l_{n+1} l_{n-1} - (b/a)^eps(n) l_n^2 = (ab+4) (-1)^(n+1).
+    """
+    ba = params.b_over_a
+    lhs = ba ** eps(n + 1) * l(params, n + 1) * l(params, n - 1)
+    lhs -= ba ** eps(n) * l(params, n) ** 2
+    return lhs, (params.ab + 4) * (-1) ** (n + 1)
 
 
 def cassini_lucas(params: SeqParams, n: int) -> bool:
-    """Exact check of
-    (b/a)^eps(n+1) l_{n+1} l_{n-1} - (b/a)^eps(n) l_n^2 == (ab+4) (-1)^(n+1).
-    """
-    ba = params.b / params.a
-    lhs = ba ** eps(n + 1) * l(params, n + 1) * l(params, n - 1)
-    lhs -= ba ** eps(n) * l(params, n) ** 2
-    return lhs == (params.ab + 4) * (-1) ** (n + 1)
+    """Exact check of the two sides of :func:`cassini_lucas_sides`."""
+    lhs, rhs = cassini_lucas_sides(params, n)
+    return lhs == rhs

@@ -9,7 +9,6 @@ backward, which is forced at index -1 by the matrix sequences' initial terms
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import QuadElement, RationalLike
@@ -17,14 +16,6 @@ from .exact import QuadElement, RationalLike
 
 class BinetDegenerate(ValueError):
     """Binet evaluation requested while alpha == beta (that is, ab == -4)."""
-
-
-@dataclass(frozen=True)
-class SeqValue:
-    """One indexed term of a scalar sequence."""
-
-    index: int
-    value: Fraction
 
 
 def eps(n: int) -> int:
@@ -74,13 +65,14 @@ class _MemoTable:
 class SeqParams:
     """Validated (a, b) pair with the derived quantities everything needs.
 
-    Carries ab, the discriminant D = ab(ab+4), the quadratic roots
-    alpha = (ab + sqrt(D))/2 and beta = (ab - sqrt(D))/2 of
+    Carries ab, the ratios b/a and a/b, the discriminant D = ab(ab+4), the
+    quadratic roots alpha = (ab + sqrt(D))/2 and beta = (ab - sqrt(D))/2 of
     x^2 - ab x - ab = 0, and per-instance memo tables for q and l.
     Instances are immutable apart from the internal memo growth.
     """
 
-    __slots__ = ("a", "b", "ab", "disc", "alpha", "beta", "binet_allowed", "_q", "_l")
+    __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b", "disc", "alpha", "beta",
+                 "binet_allowed", "_q", "_l")
 
     def __init__(self, a: RationalLike, b: RationalLike):
         a = Fraction(a)
@@ -92,6 +84,8 @@ class SeqParams:
         self.a = a
         self.b = b
         self.ab = a * b
+        self.b_over_a = b / a
+        self.a_over_b = a / b
         self.disc = self.ab * (self.ab + 4)
         half = Fraction(1, 2)
         self.alpha = QuadElement(self.ab * half, half, self.disc)
@@ -123,14 +117,6 @@ def l(params: SeqParams, n: int) -> Fraction:
     return params._l.get(n)
 
 
-def q_value(params: SeqParams, n: int) -> SeqValue:
-    return SeqValue(n, q(params, n))
-
-
-def l_value(params: SeqParams, n: int) -> SeqValue:
-    return SeqValue(n, l(params, n))
-
-
 def _direct(v0, v1, even, odd, n):
     if n >= 0:
         lo, hi = v0, v1
@@ -153,11 +139,23 @@ def l_direct(params: SeqParams, n: int) -> Fraction:
     return _direct(Fraction(2), params.a, params.b, params.a, n)
 
 
+def lucas_from_fib_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:
+    """Both sides of l_n = q_{n-1} + q_{n+1}."""
+    return l(params, n), q(params, n - 1) + q(params, n + 1)
+
+
+def fib_from_lucas_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:
+    """Both sides of (ab+4) * q_n = l_{n+1} + l_{n-1}."""
+    return (params.ab + 4) * q(params, n), l(params, n + 1) + l(params, n - 1)
+
+
 def check_lucas_from_fib(params: SeqParams, n: int) -> bool:
     """Exact check of l_n == q_{n-1} + q_{n+1}."""
-    return l(params, n) == q(params, n - 1) + q(params, n + 1)
+    lhs, rhs = lucas_from_fib_sides(params, n)
+    return lhs == rhs
 
 
 def check_fib_from_lucas(params: SeqParams, n: int) -> bool:
     """Exact check of (ab+4) * q_n == l_{n+1} + l_{n-1}."""
-    return (params.ab + 4) * q(params, n) == l(params, n + 1) + l(params, n - 1)
+    lhs, rhs = fib_from_lucas_sides(params, n)
+    return lhs == rhs

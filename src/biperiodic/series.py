@@ -14,8 +14,7 @@ kept so the verification machinery provably can fail.
 from __future__ import annotations
 
 from fractions import Fraction
-
-from itertools import islice
+from itertools import accumulate, islice
 
 from .exact import Mat2
 from .matrixseq import lucas_matrix_closed, lucas_matrix_rec_iter
@@ -191,11 +190,11 @@ def generating_numerator(params: SeqParams) -> list[Mat2]:
     e12 = 2 + ax - (ab+2)x^2 + ax^3, e21 = (a/b) e12,
     e22 = -a + (2a/b)x + (3+ab)ax^2 - (a^2+2a/b)x^3.
     """
-    a, b, ab = params.a, params.b, params.ab
-    top = [a, a * a + 2 * a / b, a, -2 * a / b]
+    a, ab, a_b = params.a, params.ab, params.a_over_b
+    top = [a, a * a + 2 * a_b, a, -2 * a_b]
     mid = [Fraction(2), a, -(ab + 2), a]
-    bot = [-a, 2 * a / b, (3 + ab) * a, -(a * a + 2 * a / b)]
-    return [Mat2(top[i], mid[i], (a / b) * mid[i], bot[i]) for i in range(4)]
+    bot = [-a, 2 * a_b, (3 + ab) * a, -(a * a + 2 * a_b)]
+    return [Mat2(top[i], mid[i], a_b * mid[i], bot[i]) for i in range(4)]
 
 
 def lucas_generating_series(params: SeqParams, order: int) -> TruncatedSeries:
@@ -205,14 +204,18 @@ def lucas_generating_series(params: SeqParams, order: int) -> TruncatedSeries:
     )
 
 
-def first_generating_mismatch(params: SeqParams, order: int) -> int | None:
+def _first_recurrence_mismatch(params: SeqParams, series: TruncatedSeries) -> int | None:
     """Index of the first series coefficient that differs from the
-    recurrence term, or None; the recurrence is the independent oracle."""
-    series = lucas_generating_series(params, order)
-    for k, term in enumerate(islice(lucas_matrix_rec_iter(params), order)):
+    recurrence term L_k, or None; the recurrence is the independent oracle."""
+    for k, term in enumerate(islice(lucas_matrix_rec_iter(params), series.order)):
         if series.coefficient(k) != term:
             return k
     return None
+
+
+def first_generating_mismatch(params: SeqParams, order: int) -> int | None:
+    """First k < order where the generating series and L_k differ, or None."""
+    return _first_recurrence_mismatch(params, lucas_generating_series(params, order))
 
 
 def verify_generating_function(params: SeqParams, order: int) -> bool:
@@ -283,16 +286,16 @@ def inverse_sum_numerator(params: SeqParams, negative_control: bool = False) -> 
     the signs that a sloppy transcription flips (low-order terms) and fails
     from coefficient 2 on.
     """
-    a, b, ab = params.a, params.b, params.ab
+    a, b, ab, a_b = params.a, params.b, params.ab, params.a_over_b
     if negative_control:
-        d_ = [2 * a / b, -a, a * a + 2 * a / b, a]
+        d_ = [2 * a_b, -a, a * a + 2 * a_b, a]
         e_ = [a, ab + 2, a, Fraction(2)]
-        f_ = [a * a + 2 * a / b, -(a * a * b + 3 * a), 2 * a / b, -a]
+        f_ = [a * a + 2 * a_b, -(a * a * b + 3 * a), 2 * a_b, -a]
     else:
-        d_ = [-2 * a / b, a, a * a + 2 * a / b, a]
+        d_ = [-2 * a_b, a, a * a + 2 * a_b, a]
         e_ = [a, -(ab + 2), a, Fraction(2)]
-        f_ = [-(a * a + 2 * a / b), a * a * b + 3 * a, 2 * a / b, -a]
-    return [Mat2(d_[i], e_[i], (a / b) * e_[i], f_[i]) for i in range(4)]
+        f_ = [-(a * a + 2 * a_b), a * a * b + 3 * a, 2 * a_b, -a]
+    return [Mat2(d_[i], e_[i], a_b * e_[i], f_[i]) for i in range(4)]
 
 
 def infinite_inverse_sum_series(
@@ -312,11 +315,10 @@ def infinite_inverse_sum_series(
 def first_infinite_mismatch(
     params: SeqParams, order: int, negative_control: bool = False
 ) -> int | None:
-    series = infinite_inverse_sum_series(params, order, negative_control)
-    for k, term in enumerate(islice(lucas_matrix_rec_iter(params), order)):
-        if series.coefficient(k) != term:
-            return k
-    return None
+    """First k < order where the inverse-power series and L_k differ, or None."""
+    return _first_recurrence_mismatch(
+        params, infinite_inverse_sum_series(params, order, negative_control)
+    )
 
 
 def verify_infinite_inverse_sum(
@@ -342,9 +344,13 @@ def lucas_partial_sum(params: SeqParams, n: int) -> Mat2:
     return total / ab
 
 
+def direct_partial_sums(params: SeqParams):
+    """Endless generator of sum_{k<n} L_k for n = 0, 1, ..., summing the
+    recurrence terms one by one."""
+    return accumulate(lucas_matrix_rec_iter(params), initial=Mat2.zero())
+
+
 def verify_partial_sum(params: SeqParams, n: int) -> bool:
     """Closed partial sum against direct summation of the recurrence terms."""
-    direct = Mat2.zero()
-    for term in islice(lucas_matrix_rec_iter(params), n):
-        direct = direct + term
-    return lucas_partial_sum(params, n) == direct
+    closed = lucas_partial_sum(params, n)
+    return closed == next(islice(direct_partial_sums(params), n, None))

@@ -121,6 +121,37 @@ class TestTerm:
         assert info.value.code == 2
 
 
+class TestRationalArguments:
+    @pytest.mark.parametrize(
+        "text", ["1e-5", "0.5", "1/0", " 3 ", "1_0", "1e3", "+3", "3/-2", "1e-2000000"]
+    )
+    def test_other_spellings_exit_2(self, capsys, text):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["term", "--kind", "fib", f"--a={text}", "--b", "1", "--n", "1"])
+        assert info.value.code == 2
+        assert "not a rational 'p/q' or integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, value", [("-3/2", "-3/2"), ("5/3", "5/3"), ("35", "35"), ("-4/6", "-2/3")]
+    )
+    def test_grammar_is_accepted(self, capsys, text, value):
+        # l_1 = a
+        code, out, _ = run_cli(
+            capsys, "term", "--kind", "lucas", f"--a={text}", "--b", "1", "--n", "1"
+        )
+        assert code == 0
+        assert out == f"{value}\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_digit_limit_applies_to_rationals(self, capsys):
+        huge = "1/" + "3" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["term", "--kind", "fib", f"--a={huge}", "--b", "1", "--n", "1"])
+        assert info.value.code == 2
+
+
 class TestTable:
     def test_fib_csv_example(self, capsys):
         code, out, _ = run_cli(

@@ -2,13 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from biperiodic import identities
 from biperiodic.exact import Mat2
 from biperiodic.identities import (
     GRID_VALUES,
+    ExpectedFailure,
     ReportFormatError,
     SuiteReport,
     default_grid,
     run_full_suite,
+    run_series_suite,
     thm6_iii_variant,
     thm6_suite,
     thm7_suite,
@@ -173,22 +176,6 @@ class TestRunFullSuite:
         assert names == ["thm6.iii.negctl"]
         assert all(x.reason for x in report.expected_failures)
 
-    def test_fast_thm8_loop_matches_public_op(self):
-        # the suite's incremental-power path must generate exactly the
-        # records thm8_suite produces
-        p = SeqParams(F(5, 3), F(1, 2))
-        report = run_full_suite([p], 5)
-        from_suite = {}
-        for m in range(0, 6):
-            for n in range(0, 6):
-                for c in thm8_suite(p, m, n, 0):
-                    if c.name != "thm8.iv" and not c.name.startswith("thm8.iii"):
-                        from_suite[(c.name, c.index_args)] = c
-        # sanity: everything holds on both paths, so the suite recorded
-        # no thm8 failures and the records above all hold
-        assert all(c.holds for c in from_suite.values())
-        assert report.ok
-
     def test_max_index_validation(self):
         with pytest.raises(ValueError):
             run_full_suite([], -1)
@@ -198,6 +185,54 @@ class TestRunFullSuite:
         assert len(grid) == 49
         assert len(GRID_VALUES) == 7
         assert not any(p.ab == -4 for p in grid)
+
+
+class TestNegativeControl:
+    REASON = "negative control: false by construction"
+
+    def test_failing_control_is_an_expected_failure(self):
+        report = SuiteReport("demo")
+        check = thm6_iii_variant(SeqParams(2, 3), 1)
+        assert not check.holds
+        report.negative_control(check, self.REASON)
+        assert report.checks_run == 1
+        assert report.ok
+        assert report.expected_failures == [ExpectedFailure(check, self.REASON)]
+
+    def test_holding_control_is_a_failure(self):
+        report = SuiteReport("demo")
+        check = thm6_iii_variant(SeqParams(2, 3), 4)  # even n: the ratio drops out
+        assert check.holds
+        report.negative_control(check, self.REASON)
+        assert report.checks_run == 1
+        assert not report.ok
+        assert not report.expected_failures
+        (failure,) = report.failures
+        assert failure.name == "thm6.iii.negctl.unexpectedly-true"
+        assert not failure.holds
+        assert (failure.index_args, failure.params, failure.lhs, failure.rhs) == (
+            check.index_args, check.params, check.lhs, check.rhs,
+        )
+
+    def test_series_control_that_holds_fails_the_report(self, monkeypatch):
+        # pretend the sign-slipped inverse-power series matched the recurrence
+        monkeypatch.setattr(identities, "first_infinite_mismatch", lambda *a, **kw: None)
+        report = run_series_suite([SeqParams(2, 3)], 2, 8)
+        assert [c.name for c in report.failures] == ["invsum.infinite.negctl.unexpectedly-true"]
+        assert report.failures[0].index_args == (8,)
+        assert [x.check.name for x in report.expected_failures] == ["invsum.finite.negctl"]
+
+
+class TestSeriesSuite:
+    def test_counts_and_controls(self):
+        report = run_series_suite([SeqParams(2, 3), SeqParams(F(1, 2), 4)], 3, 12)
+        # genfunc + finite n=0..3 + infinite + partial sums n=1..3 + 2 controls
+        assert report.checks_run == 2 * (1 + 4 + 1 + 3 + 2)
+        assert report.ok
+        assert report.suite == "series"
+        assert [x.check.name for x in report.expected_failures] == [
+            "invsum.finite.negctl", "invsum.infinite.negctl",
+        ] * 2
 
 
 class TestReportSerialization:
@@ -227,9 +262,12 @@ class TestReportSerialization:
             lambda doc: doc.update(checks_run="12"),
             lambda doc: doc.update(failures=[{"name": "x"}]),
             lambda doc: doc["params"][0].update(a="1/0"),
+            lambda doc: doc["params"][0].update(a="1e-5"),
+            lambda doc: doc["params"][0].update(b="0.5"),
         ],
         ids=["missing-key", "missing-param-key", "params-not-list",
-             "checks-run-str", "partial-failure", "bad-rational"],
+             "checks-run-str", "partial-failure", "bad-rational",
+             "exponent-rational", "decimal-rational"],
     )
     def test_malformed_doc_raises_report_format_error(self, mutate):
         doc = run_full_suite([SeqParams(1, 1)], 1).to_json_dict()

@@ -5,16 +5,12 @@ import pytest
 
 from biperiodic.exact import Mat2
 from biperiodic.matrixseq import (
-    MatSeqTerm,
-    Source,
     cassini_lucas,
-    fib_matrix,
     fib_matrix_binet,
     fib_matrix_closed,
     fib_matrix_rec,
     fib_matrix_rec_iter,
     lucas_det,
-    lucas_matrix,
     lucas_matrix_binet,
     lucas_matrix_closed,
     lucas_matrix_rec,
@@ -231,10 +227,3 @@ class TestEntryConsistency:
             assert m.e21 == q(p, n)
             assert m.e12 == (p.b / p.a) * q(p, n)
 
-
-def test_dispatcher_sources():
-    p = SeqParams(2, 3)
-    term = fib_matrix(p, 5, Source.BINET)
-    assert term == MatSeqTerm(5, fib_matrix_rec(p, 5), Source.BINET)
-    assert lucas_matrix(p, 4).source is Source.CLOSED_FORM
-    assert lucas_matrix(p, 4, Source.RECURRENCE).matrix == lucas_matrix_rec(p, 4)
