@@ -1,9 +1,9 @@
 """Exact scalar and 2x2 matrix arithmetic.
 
-The scalar tower is: arbitrary-precision rationals (``fractions.Fraction``,
-re-exported as :data:`Rational`), the quadratic ring Q(sqrt(D)) with a fixed
-rational discriminant D (:class:`QuadElement`), and 2x2 matrices over either
-scalar kind (:class:`Mat2`).
+The scalars are arbitrary-precision rationals (``fractions.Fraction``,
+re-exported as :data:`Rational`) and the quadratic ring Q(sqrt(D)) with a
+fixed rational discriminant D (:class:`QuadElement`); the matrices
+(:class:`Mat2`) are 2x2 over the rationals only.
 
 Everything is immutable and every operation is a pure function, so values are
 safe to share between threads (a :class:`Mat2` caches derived forms of its own
@@ -215,64 +215,50 @@ class QuadElement:
         return f"{self.rat} + {self.irr}*sqrt({self.disc})"
 
 
-Scalar = Fraction | QuadElement
-
-
-def _coerce_entry(x):
-    return Fraction(x) if isinstance(x, int) else x
-
-
-def _one_like(x: Scalar) -> Scalar:
-    if isinstance(x, QuadElement):
-        return QuadElement(1, 0, x.disc)
-    return Fraction(1)
-
-
-def _inverse_scalar(c: Scalar) -> Scalar:
-    if isinstance(c, QuadElement):
-        return c.inverse()
-    return 1 / Fraction(c)
-
-
 IntForm = tuple[int, int, int, int, int]
 """(n11, n12, n21, n22, d): a rational matrix equal to [[n11, n12], [n21, n22]] / d,
 canonical when d > 0 and gcd(n11, n12, n21, n22, d) = 1."""
 
 
-def _integer_form(entries) -> IntForm | tuple[()]:
-    """The canonical integer form of four Fractions, or () if an entry is not one.
+def _entry(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"Mat2 entries are int or Fraction, not {type(x).__name__}")
+
+
+def _integer_form(entries) -> IntForm:
+    """The canonical integer form of four Fractions.
 
     d is the lcm of the (reduced) denominators, so every prime of d divides
     some entry's denominator to the full power and leaves that numerator
     coprime: the five integers share no factor.
     """
-    if not all(isinstance(e, Fraction) for e in entries):
-        return ()
     d = lcm(*(e.denominator for e in entries))
     return (*(e.numerator * (d // e.denominator) for e in entries), d)
 
 
 class Mat2:
-    """2x2 matrix over one scalar kind (all-Fraction or all-QuadElement).
+    """2x2 matrix over the rationals.
 
-    Supports ``+``, ``-``, matrix ``*``, scalar ``*`` (either side),
-    ``/ scalar``, ``** n`` by binary exponentiation, :meth:`det` and
-    :meth:`trace`. Multiplying by a QuadElement scalar lifts a rational
-    matrix into Q(sqrt(D)); :meth:`to_rational` goes back down and raises
-    :class:`IrrationalResidue` if any sqrt part survives normalization.
+    Supports ``+``, ``-``, matrix ``*``, scalar ``*`` (either side) and
+    ``/ scalar`` by ``int``/``Fraction``, ``** n`` by binary
+    exponentiation, :meth:`det` and :meth:`trace`. Entries must be ``int``
+    or ``Fraction``; anything else, a :class:`QuadElement` included, raises
+    ``TypeError`` on construction, and a product with a QuadElement raises
+    ``TypeError`` too. Q(sqrt(D)) is only ever needed for scalar
+    coefficients (see ``matrixseq``), never for a matrix.
 
-    Storage. A rational matrix is held as four integer numerators over one
-    positive common denominator, with no factor shared by all five (see
-    :data:`IntForm`). That form is canonical, so ``+ - *``, negation, scalar
-    ``*`` and ``/`` by ``int``/``Fraction``, :meth:`det`, :meth:`trace`,
-    ``**`` and ``==`` run on plain ints and build no Fraction per operation.
-    The entries ``e11``, ``e12``, ``e21``, ``e22`` (and :meth:`entries`,
-    :meth:`rows`) are read-only Fraction views. Both forms are lazy: a
-    matrix built from Fractions keeps them and derives the integer form on
-    its first arithmetic use; a matrix produced by integer arithmetic builds
-    its Fractions only when an entry is read. Either is cached once built.
-    Matrices with any QuadElement (or other non-Fraction) entry use
-    entry-wise arithmetic on their stored entries.
+    Storage. A matrix is held as four integer numerators over one positive
+    common denominator, with no factor shared by all five (see
+    :data:`IntForm`). That form is canonical, so every operation runs on
+    plain ints. The entries ``e11``, ``e12``,
+    ``e21``, ``e22`` (and :meth:`entries`, :meth:`rows`) are read-only
+    Fraction views. Both forms are lazy: a matrix built from Fractions keeps
+    them and derives the integer form on its first arithmetic use; a matrix
+    produced by integer arithmetic builds its Fractions only when an entry
+    is read. Either is cached once built.
 
     Cost model. A product is eight integer multiplies and one gcd of the
     new denominator with the four numerators; a sum is one gcd of the two
@@ -285,12 +271,10 @@ class Mat2:
     __slots__ = ("_entries", "_form")
 
     def __init__(self, e11, e12, e21, e22):
-        self._entries = (
-            _coerce_entry(e11), _coerce_entry(e12), _coerce_entry(e21), _coerce_entry(e22)
-        )
+        self._entries = (_entry(e11), _entry(e12), _entry(e21), _entry(e22))
         self._form = None
 
-    def _int_form(self) -> IntForm | tuple[()]:
+    def _int_form(self) -> IntForm:
         form = self._form
         if form is None:
             form = self._form = _integer_form(self._entries)
@@ -304,13 +288,7 @@ class Mat2:
     def zero(cls) -> Mat2:
         return _from_form((0, 0, 0, 0, 1))
 
-    def identity_like(self) -> Mat2:
-        if self._int_form():
-            return Mat2.identity()
-        one = _one_like(self.e11)
-        return Mat2(one, one - one, one - one, one)
-
-    def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         entries = self._entries
         if entries is None:
             n11, n12, n21, n22, d = self._form
@@ -320,104 +298,59 @@ class Mat2:
         return entries
 
     @property
-    def e11(self) -> Scalar:
+    def e11(self) -> Fraction:
         return self.entries()[0]
 
     @property
-    def e12(self) -> Scalar:
+    def e12(self) -> Fraction:
         return self.entries()[1]
 
     @property
-    def e21(self) -> Scalar:
+    def e21(self) -> Fraction:
         return self.entries()[2]
 
     @property
-    def e22(self) -> Scalar:
+    def e22(self) -> Fraction:
         return self.entries()[3]
 
-    def rows(self) -> list[list[Scalar]]:
+    def rows(self) -> list[list[Fraction]]:
         e11, e12, e21, e22 = self.entries()
         return [[e11, e12], [e21, e22]]
-
-    def map(self, fn) -> Mat2:
-        e11, e12, e21, e22 = self.entries()
-        return Mat2(fn(e11), fn(e12), fn(e21), fn(e22))
-
-    def lift(self, disc: RationalLike) -> Mat2:
-        """Embed a rational matrix into Q(sqrt(disc))."""
-        return self.map(lambda e: QuadElement(e, 0, disc))
-
-    def to_rational(self) -> Mat2:
-        def down(e):
-            return e.to_rational() if isinstance(e, QuadElement) else e
-
-        return self.map(down)
 
     def __add__(self, other) -> Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
-        x, y = self._int_form(), other._int_form()
-        if x and y:
-            return _add_forms(x, y)
-        a11, a12, a21, a22 = self.entries()
-        b11, b12, b21, b22 = other.entries()
-        return Mat2(a11 + b11, a12 + b12, a21 + b21, a22 + b22)
+        return _add_forms(self._int_form(), other._int_form())
 
     def __sub__(self, other) -> Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
-        x, y = self._int_form(), other._int_form()
-        if x and y:
-            n11, n12, n21, n22, d = y
-            return _add_forms(x, (-n11, -n12, -n21, -n22, d))
-        a11, a12, a21, a22 = self.entries()
-        b11, b12, b21, b22 = other.entries()
-        return Mat2(a11 - b11, a12 - b12, a21 - b21, a22 - b22)
+        n11, n12, n21, n22, d = other._int_form()
+        return _add_forms(self._int_form(), (-n11, -n12, -n21, -n22, d))
 
     def __neg__(self) -> Mat2:
-        x = self._int_form()
-        if x:
-            n11, n12, n21, n22, d = x
-            return _from_form((-n11, -n12, -n21, -n22, d))
-        return self.map(lambda e: -e)
+        n11, n12, n21, n22, d = self._int_form()
+        return _from_form((-n11, -n12, -n21, -n22, d))
 
     def __mul__(self, other) -> Mat2:
         if isinstance(other, Mat2):
-            x, y = self._int_form(), other._int_form()
-            if x and y:
-                return _mul_forms(x, y)
-            a11, a12, a21, a22 = self.entries()
-            b11, b12, b21, b22 = other.entries()
-            return Mat2(
-                a11 * b11 + a12 * b21,
-                a11 * b12 + a12 * b22,
-                a21 * b11 + a22 * b21,
-                a21 * b12 + a22 * b22,
-            )
-        return self._times_scalar(other)
+            return _mul_forms(self._int_form(), other._int_form())
+        if isinstance(other, (int, Fraction)):
+            return _scale_form(self._int_form(), other.numerator, other.denominator)
+        return NotImplemented
 
-    def __rmul__(self, other) -> Mat2:
-        # scalars commute with matrices over either scalar kind
-        return self._times_scalar(other)
-
-    def _times_scalar(self, c) -> Mat2:
-        if isinstance(c, (int, Fraction)):
-            x = self._int_form()
-            if x:
-                return _scale_form(x, c.numerator, c.denominator)
-        elif not isinstance(c, QuadElement):
-            return NotImplemented
-        return self.map(lambda e: e * c)
+    # scalars commute with matrices; a Mat2 left operand never reaches here
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> Mat2:
-        if isinstance(other, (int, Fraction, QuadElement)):
-            return self * _inverse_scalar(other)
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __pow__(self, n: int) -> Mat2:
         if n < 0:
             raise ValueError("matrix powers are defined for n >= 0 only")
-        result = self.identity_like()
+        result = Mat2.identity()
         base = self
         while n:
             if n & 1:
@@ -426,29 +359,20 @@ class Mat2:
             n >>= 1
         return result
 
-    def det(self) -> Scalar:
-        x = self._int_form()
-        if x:
-            n11, n12, n21, n22, d = x
-            return Fraction(n11 * n22 - n12 * n21, d * d)
-        e11, e12, e21, e22 = self.entries()
-        return e11 * e22 - e12 * e21
+    def det(self) -> Fraction:
+        n11, n12, n21, n22, d = self._int_form()
+        return Fraction(n11 * n22 - n12 * n21, d * d)
 
-    def trace(self) -> Scalar:
-        x = self._int_form()
-        if x:
-            return Fraction(x[0] + x[3], x[4])
-        return self.e11 + self.e22
+    def trace(self) -> Fraction:
+        n11, _, _, n22, d = self._int_form()
+        return Fraction(n11 + n22, d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat2):
             return NotImplemented
         if self._entries is not None and other._entries is not None:
             return self._entries == other._entries
-        x, y = self._int_form(), other._int_form()
-        if x and y:
-            return x == y
-        return self.entries() == other.entries()
+        return self._int_form() == other._int_form()
 
     def __bool__(self) -> bool:
         entries = self._entries

@@ -4,8 +4,10 @@ Each sequence is computed three independent ways:
 
 * recurrence from the initial matrices (n >= 0),
 * entrywise closed form built from the scalar kernels (any integer n),
-* Binet form evaluated exactly in Q(sqrt(D)) and normalized back down to
-  rationals (n >= 0, requires ab != -4).
+* Binet form (n >= 0, requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
+  likewise from L_0, L_1), where each coefficient s is a combination of
+  alpha^n and beta^n evaluated exactly in Q(sqrt(D)) and normalized back
+  down to a rational. Only these scalars leave the rationals; no matrix does.
 
 The three routes must agree exactly; the closed form is
 
@@ -95,6 +97,24 @@ def _require_binet(params: SeqParams, n: int) -> None:
         raise BinetDegenerate("ab = -4 makes alpha = beta; Binet form is undefined")
 
 
+def _binet(params: SeqParams, m1: Mat2, c1, m0: Mat2, c0, power: int, scale: Fraction) -> Mat2:
+    """s1 m1 + s0 m0, where for each seed coefficient c
+
+        s = (c(alpha) alpha^power - c(beta) beta^power) / (scale (alpha - beta)).
+
+    Each s is evaluated in Q(sqrt(D)) and must come back rational; a
+    mistranscribed coefficient raises IrrationalResidue instead.
+    """
+    alpha, beta = params.alpha, params.beta
+    alpha_p, beta_p = alpha**power, beta**power
+    den = scale * (alpha - beta)
+
+    def coefficient(c) -> Fraction:
+        return ((c(alpha) * alpha_p - c(beta) * beta_p) / den).to_rational()
+
+    return coefficient(c1) * m1 + coefficient(c0) * m0
+
+
 def fib_matrix_binet(params: SeqParams, n: int) -> Mat2:
     """F_n from powers of alpha and beta, exactly, in even/odd split form.
 
@@ -105,21 +125,11 @@ def fib_matrix_binet(params: SeqParams, n: int) -> Mat2:
     """
     _require_binet(params, n)
     a, b, ab = params.a, params.b, params.ab
-    alpha, beta = params.alpha, params.beta
-    m0, m1, _, _ = _fib_seed(params)
-    f0 = m0.lift(params.disc)
-    f1 = m1.lift(params.disc)
+    f0, f1, _, _ = _fib_seed(params)
+    scale = ab ** floor_half(n)
     if eps(n) == 0:
-        num_a = a * f1 + (alpha - ab) * f0
-        num_b = a * f1 + (beta - ab) * f0
-        power = n
-    else:
-        num_a = alpha * f1 + b * f0
-        num_b = beta * f1 + b * f0
-        power = n - 1
-    scale = (ab ** floor_half(n)) * (alpha - beta)
-    combined = (num_a * alpha**power - num_b * beta**power) / scale
-    return combined.to_rational()
+        return _binet(params, f1, lambda _: a, f0, lambda x: x - ab, n, scale)
+    return _binet(params, f1, lambda x: x, f0, lambda _: b, n - 1, scale)
 
 
 def lucas_matrix_binet(params: SeqParams, n: int) -> Mat2:
@@ -128,15 +138,9 @@ def lucas_matrix_binet(params: SeqParams, n: int) -> Mat2:
     """
     _require_binet(params, n)
     b, ab = params.b, params.ab
-    alpha, beta = params.alpha, params.beta
-    m0, m1, _, _ = _lucas_seed(params)
-    l0 = m0.lift(params.disc)
-    l1 = m1.lift(params.disc)
-    num_a = b * l1 + (alpha - ab) * l0
-    num_b = b * l1 + (beta - ab) * l0
-    scale = (b ** eps(n)) * (ab ** floor_half(n)) * (alpha - beta)
-    combined = (num_a * alpha**n - num_b * beta**n) / scale
-    return combined.to_rational()
+    l0, l1, _, _ = _lucas_seed(params)
+    scale = (b ** eps(n)) * (ab ** floor_half(n))
+    return _binet(params, l1, lambda _: b, l0, lambda x: x - ab, n, scale)
 
 
 def lucas_det(params: SeqParams, n: int) -> Fraction:

@@ -22,15 +22,13 @@ from .sequences import SeqParams, eps
 
 
 class TruncatedSeries:
-    """Finite-order formal power series; exact arithmetic modulo x^order.
+    """Coefficients 0..order-1 of a formal power series, padded with ``zero``.
 
-    Coefficients may be any ring elements supporting +, -, * (Fractions and
-    Mat2 both work). Coefficient k of a product depends only on coefficients
-    0..k of the factors; combining series of different orders truncates to
-    the shorter one.
+    Coefficients may be any ring elements (Fractions and Mat2 both work);
+    :func:`expand_rational` builds them.
     """
 
-    __slots__ = ("coeffs", "order", "zero")
+    __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int | None = None, zero=None):
         coeffs = list(coeffs)
@@ -44,40 +42,11 @@ class TruncatedSeries:
             coeffs.extend([zero] * (order - len(coeffs)))
         self.coeffs = tuple(coeffs[:order])
         self.order = order
-        self.zero = zero
 
     def coefficient(self, k: int):
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient {k} outside truncation order {self.order}")
         return self.coeffs[k]
-
-    def __add__(self, other) -> TruncatedSeries:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(order)], order, self.zero
-        )
-
-    def __sub__(self, other) -> TruncatedSeries:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(order)], order, self.zero
-        )
-
-    def __mul__(self, other) -> TruncatedSeries:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = []
-        for k in range(order):
-            acc = self.coeffs[0] * other.coeffs[k]
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return TruncatedSeries(out, order, zero=self.zero * other.zero)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -136,13 +105,6 @@ class LaurentPoly:
 
     def support(self) -> list[int]:
         return sorted(self.coeffs)
-
-    def shifted(self, k: int) -> LaurentPoly:
-        """Multiply by x^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
-    def scaled(self, c) -> LaurentPoly:
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
 
     def __add__(self, other) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):

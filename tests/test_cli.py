@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -361,6 +362,19 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "18\n"
+
+
+def test_benchmark_trace_mode_installs():
+    # perfbench/tracing.py patches package functions and Mat2/QuadElement
+    # methods by name; renaming one must fail here, not only under --trace
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import biperiodic.cli, tracing; tracing.Tracer().install()"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rational_round_trip_through_wire_format():

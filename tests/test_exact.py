@@ -193,26 +193,14 @@ class TestMat2:
     def test_scalar_division(self):
         assert Mat2(2, 4, 6, 8) / 2 == Mat2(1, 2, 3, 4)
 
-    def test_quad_scalar_lifts_rational_matrix(self):
+    def test_quadratic_entries_and_scalars_rejected(self):
         root = QuadElement.sqrt_disc(5)
-        lifted = root * Mat2.identity()
-        assert lifted.e11 == root
-        assert lifted.e12 == 0
-
-    def test_lift_and_to_rational_round_trip(self):
-        a = Mat2(1, F(2, 3), 0, -4)
-        assert a.lift(5).to_rational() == a
-
-    def test_to_rational_raises_on_residue(self):
-        bad = Mat2.identity().lift(5) * QuadElement.sqrt_disc(5)
-        with pytest.raises(IrrationalResidue):
-            bad.to_rational()
-
-    def test_mismatched_disc_inside_matrices(self):
-        a = Mat2.identity().lift(5)
-        b = Mat2.identity().lift(7)
-        with pytest.raises(MismatchedDiscriminant):
-            a * b
+        with pytest.raises(TypeError):
+            Mat2(root, 0, 0, 1)
+        with pytest.raises(TypeError):
+            Mat2.identity() * root
+        with pytest.raises(TypeError):
+            root * Mat2.identity()
 
     def test_trace(self):
         assert Mat2(1, 2, 3, 4).trace() == 5
@@ -335,11 +323,3 @@ class TestMat2IntegerForm:
         assert repr(a) == "Mat2(Fraction(1, 1), Fraction(2, 1), Fraction(2, 1), Fraction(0, 1))"
         assert str(a / 4) == "[[1/4, 1/2], [1/2, 0]]"
 
-    def test_quadratic_entries_keep_entrywise_path(self):
-        root = QuadElement.sqrt_disc(5)
-        lifted = Mat2(F(1, 2), 1, 1, 0).lift(5)
-        assert isinstance((lifted * lifted).e11, QuadElement)
-        assert (lifted * root * root).to_rational() == Mat2(F(1, 2), 1, 1, 0) * 5
-        assert root * lifted == lifted * root
-        assert (lifted - lifted) == Mat2.zero()
-        assert lifted.det() == F(-1)

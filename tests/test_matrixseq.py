@@ -3,8 +3,9 @@ from itertools import islice
 
 import pytest
 
-from biperiodic.exact import Mat2
+from biperiodic.exact import IrrationalResidue, Mat2, rational_sqrt
 from biperiodic.matrixseq import (
+    _binet,
     cassini_lucas,
     fib_matrix_binet,
     fib_matrix_closed,
@@ -146,24 +147,37 @@ class TestTripleAgreement:
         #   + B1 (alpha^(2 floor(n/2) + 2) - beta^(2 floor(n/2) + 2))
         # with A1 = [F1 - b F0]^eps(n) [a F1 - F0 - ab F0]^(1-eps(n))
         #   / ((ab)^floor(n/2) (alpha - beta))
-        # and  B1 = b^eps(n) F0 / ((ab)^(floor(n/2)+1) (alpha - beta))
+        # and  B1 = b^eps(n) F0 / ((ab)^(floor(n/2)+1) (alpha - beta));
+        # the alpha/beta factors are rational scalars on rational matrices
         for p in SAMPLE:
             a, b, ab = p.a, p.b, p.ab
             alpha, beta = p.alpha, p.beta
-            f0 = Mat2.identity().lift(p.disc)
-            f1 = Mat2(b, b / a, 1, 0).lift(p.disc)
+            f0 = Mat2.identity()
+            f1 = Mat2(b, b / a, 1, 0)
             for n in range(0, 14):
                 h = floor_half(n)
                 if eps(n):
                     a1_num = f1 - b * f0
                 else:
                     a1_num = a * f1 - f0 - ab * f0
-                denom = (ab**h) * (alpha - beta)
-                term1 = (a1_num * (alpha**n - beta**n)) / denom
-                b1_num = (b ** eps(n)) * f0
-                denom2 = (ab ** (h + 1)) * (alpha - beta)
-                term2 = (b1_num * (alpha ** (2 * h + 2) - beta ** (2 * h + 2))) / denom2
-                assert (term1 + term2).to_rational() == fib_matrix_rec(p, n), (p, n)
+                s1 = (alpha**n - beta**n) / ((ab**h) * (alpha - beta))
+                s2 = (alpha ** (2 * h + 2) - beta ** (2 * h + 2)) / (
+                    (ab ** (h + 1)) * (alpha - beta)
+                )
+                term1 = s1.to_rational() * a1_num
+                term2 = s2.to_rational() * ((b ** eps(n)) * f0)
+                assert term1 + term2 == fib_matrix_rec(p, n), (p, n)
+
+    def test_wrong_binet_coefficient_leaves_residue(self):
+        # negative control: the beta half reusing alpha is not rational
+        p = SeqParams(2, 3)
+        assert rational_sqrt(p.disc) is None
+        f0, f1 = Mat2.identity(), Mat2(p.b, p.b_over_a, 1, 0)
+        with pytest.raises(IrrationalResidue):
+            _binet(p, f1, lambda _: p.a, f0, lambda _: p.alpha - p.ab, 4, p.ab**2)
+        assert _binet(p, f1, lambda _: p.a, f0, lambda x: x - p.ab, 4, p.ab**2) == (
+            fib_matrix_rec(p, 4)
+        )
 
 
 class TestDegenerate:
