@@ -39,6 +39,17 @@ class IrrationalResidue(ArithmeticError):
     """
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -138,14 +149,7 @@ class QuadElement:
     def __pow__(self, n: int) -> QuadElement:
         if n < 0:
             return self.inverse() ** (-n)
-        result = QuadElement(1, 0, self.disc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QuadElement(1, 0, self.disc))
 
     def conj(self) -> QuadElement:
         """Conjugation sqrt(D) -> -sqrt(D); a ring homomorphism."""
@@ -350,14 +354,7 @@ class Mat2:
     def __pow__(self, n: int) -> Mat2:
         if n < 0:
             raise ValueError("matrix powers are defined for n >= 0 only")
-        result = Mat2.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Mat2.identity())
 
     def det(self) -> Fraction:
         n11, n12, n21, n22, d = self._int_form()

@@ -2,7 +2,8 @@
 
 Each sequence is computed three independent ways:
 
-* recurrence from the initial matrices (n >= 0),
+* recurrence from the initial matrices (n >= 0): F_n walks with q's step
+  coefficients and L_n with l's (:func:`.sequences.alternating_walk`),
 * entrywise closed form built from the scalar kernels (any integer n),
 * Binet form (n >= 0, requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
   likewise from L_0, L_1), where each coefficient s is a combination of
@@ -24,32 +25,20 @@ from fractions import Fraction
 from itertools import islice
 
 from .exact import Mat2
-from .sequences import BinetDegenerate, SeqParams, eps, floor_half, l, q
+from .sequences import BinetDegenerate, SeqParams, eps, floor_half, l, l_walk, q, q_walk
 
 
-def _fib_seed(params: SeqParams):
-    """F_0, F_1 and the recurrence coefficients on even and odd steps."""
-    a, b = params.a, params.b
-    return Mat2.identity(), Mat2(b, params.b_over_a, 1, 0), a, b
+def _fib_seed(params: SeqParams) -> tuple[Mat2, Mat2]:
+    """F_0 and F_1; F_n steps like q."""
+    return Mat2.identity(), Mat2(params.b, params.b_over_a, 1, 0)
 
 
-def _lucas_seed(params: SeqParams):
-    """L_0, L_1 and the recurrence coefficients on even and odd steps."""
-    a, b, a_b = params.a, params.b, params.a_over_b
+def _lucas_seed(params: SeqParams) -> tuple[Mat2, Mat2]:
+    """L_0 and L_1; L_n steps like l."""
+    a, a_b = params.a, params.a_over_b
     l0 = Mat2(a, 2, 2 * a_b, -a)
     l1 = Mat2(a * a + 2 * a_b, a, a * a_b, 2 * a_b)
-    return l0, l1, b, a
-
-
-def _recurrence(m0: Mat2, m1: Mat2, even: Fraction, odd: Fraction):
-    prev, cur = m0, m1
-    k = 1
-    yield m0
-    while True:
-        yield cur
-        k += 1
-        c = even if k % 2 == 0 else odd
-        prev, cur = cur, c * cur + prev
+    return l0, l1
 
 
 def _term(terms, n: int) -> Mat2:
@@ -59,23 +48,23 @@ def _term(terms, n: int) -> Mat2:
 
 
 def fib_matrix_rec(params: SeqParams, n: int) -> Mat2:
-    """F_n by recurrence; coefficient a on even steps, b on odd, like q."""
-    return _term(_recurrence(*_fib_seed(params)), n)
+    """F_n by recurrence, with q's step coefficients."""
+    return _term(q_walk(params, *_fib_seed(params)), n)
 
 
 def lucas_matrix_rec(params: SeqParams, n: int) -> Mat2:
-    """L_n by recurrence; coefficient a on odd steps, b on even, like l."""
-    return _term(_recurrence(*_lucas_seed(params)), n)
+    """L_n by recurrence, with l's step coefficients."""
+    return _term(l_walk(params, *_lucas_seed(params)), n)
 
 
 def fib_matrix_rec_iter(params: SeqParams):
     """Endless generator of F_0, F_1, ... by one recurrence step each."""
-    return _recurrence(*_fib_seed(params))
+    return q_walk(params, *_fib_seed(params))
 
 
 def lucas_matrix_rec_iter(params: SeqParams):
     """Endless generator of L_0, L_1, ... by one recurrence step each."""
-    return _recurrence(*_lucas_seed(params))
+    return l_walk(params, *_lucas_seed(params))
 
 
 def fib_matrix_closed(params: SeqParams, n: int) -> Mat2:
@@ -106,7 +95,8 @@ def _binet(params: SeqParams, m1: Mat2, c1, m0: Mat2, c0, power: int, scale: Fra
     mistranscribed coefficient raises IrrationalResidue instead.
     """
     alpha, beta = params.alpha, params.beta
-    alpha_p, beta_p = alpha**power, beta**power
+    alpha_p = alpha**power
+    beta_p = alpha_p.conj()  # beta is the conjugate of alpha in Q(sqrt(D))
     den = scale * (alpha - beta)
 
     def coefficient(c) -> Fraction:
@@ -125,7 +115,7 @@ def fib_matrix_binet(params: SeqParams, n: int) -> Mat2:
     """
     _require_binet(params, n)
     a, b, ab = params.a, params.b, params.ab
-    f0, f1, _, _ = _fib_seed(params)
+    f0, f1 = _fib_seed(params)
     scale = ab ** floor_half(n)
     if eps(n) == 0:
         return _binet(params, f1, lambda _: a, f0, lambda x: x - ab, n, scale)
@@ -138,7 +128,7 @@ def lucas_matrix_binet(params: SeqParams, n: int) -> Mat2:
     """
     _require_binet(params, n)
     b, ab = params.b, params.ab
-    l0, l1, _, _ = _lucas_seed(params)
+    l0, l1 = _lucas_seed(params)
     scale = (b ** eps(n)) * (ab ** floor_half(n))
     return _binet(params, l1, lambda _: b, l0, lambda x: x - ab, n, scale)
 

@@ -2,14 +2,21 @@
 
 q alternates its recurrence coefficient as a on even, b on odd indices with
 q_0 = 0, q_1 = 1; l alternates the opposite way (a on odd, b on even) with
-l_0 = 2, l_1 = a. Negative indices come from running the recurrences
-backward, which is forced at index -1 by the matrix sequences' initial terms
-(q_{-1} = 1, l_{-1} = -a) and extended uniformly below.
+l_0 = 2, l_1 = a. Both, and the matrix sequences of :mod:`.matrixseq`, are
+walks of one recurrence, :func:`alternating_walk`.
+
+Negative indices need no second recurrence. By the sign identity,
+u_k = (-1)^k v_{-k} obeys the same recurrence with the same parity
+coefficients from u_0 = v_0, u_1 = odd v_0 - v_1; equivalently v_{-k} walks
+with both coefficients negated from v_0, v_{-1} = v_1 - odd v_0, which is the
+walk the memo stores, so reads need no sign. Hence q_{-1} = 1, q_{-2} = -a,
+l_{-1} = -a and l_{-2} = ab + 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .exact import QuadElement, RationalLike
 
@@ -28,38 +35,42 @@ def floor_half(n: int) -> int:
     return n // 2
 
 
-class _MemoTable:
-    """Two-sided memo for one alternating-coefficient recurrence.
+def alternating_walk(v0, v1, even, odd):
+    """Endless v_0, v_1, ... of v_k = c_k v_{k-1} + v_{k-2}, where c_k is
+    ``even`` for even k and ``odd`` for odd k; scalars and Mat2 alike."""
+    prev, cur, c, c_next = v0, v1, even, odd
+    yield prev
+    while True:
+        yield cur
+        prev, cur, c, c_next = cur, c * cur + prev, c_next, c
 
-    Values are deterministic, so concurrent fills can only duplicate work,
-    never corrupt entries; reads of filled slots are always safe.
-    """
 
-    __slots__ = ("_fwd", "_bwd", "_even", "_odd")
+def _table(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction) -> tuple:
+    """Memo of one sequence as plain data, one walk per direction:
+    (even, odd, [v_0, v_1, ...]) and (-even, -odd, [v_0, v_{-1}, ...])."""
+    return (even, odd, [v0, v1]), (-even, -odd, [v0, v1 - odd * v0])
 
-    def __init__(self, v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
-        self._fwd = [v0, v1]
-        self._bwd = [v0]
-        self._even = even
-        self._odd = odd
 
-    def _coeff(self, n: int) -> Fraction:
-        return self._even if n % 2 == 0 else self._odd
+def _memo_term(table: tuple, n: int) -> Fraction:
+    """v_n, first storing any missing terms from a fresh walk resumed at the
+    last two stored ones. Racing fills store equal values in one slice
+    assignment each and never remove a slot."""
+    even, odd, terms = table[1] if n < 0 else table[0]
+    k = abs(n)
+    j = len(terms)
+    if k >= j:
+        if j & 1:  # the walk's step i is step j - 2 + i of the sequence
+            even, odd = odd, even
+        new = list(islice(alternating_walk(terms[j - 2], terms[j - 1], even, odd),
+                          2, k - j + 3))
+        terms[j:j + len(new)] = new
+    return terms[k]
 
-    def get(self, n: int) -> Fraction:
-        if n >= 0:
-            fwd = self._fwd
-            while len(fwd) <= n:
-                k = len(fwd)
-                fwd.append(self._coeff(k) * fwd[k - 1] + fwd[k - 2])
-            return fwd[n]
-        bwd = self._bwd
-        while len(bwd) <= -n:
-            m = -len(bwd)
-            # backward step: value(m) = value(m+2) - c(m+2) * value(m+1),
-            # and c(m+2) has the parity of m
-            bwd.append(self.get(m + 2) - self._coeff(m) * self.get(m + 1))
-        return bwd[-n]
+
+def _walk_term(table: tuple, n: int) -> Fraction:
+    """v_n as term |n| of a fresh walk from the two seeds of ``table``."""
+    even, odd, terms = table[1] if n < 0 else table[0]
+    return next(islice(alternating_walk(terms[0], terms[1], even, odd), abs(n), None))
 
 
 class SeqParams:
@@ -67,8 +78,9 @@ class SeqParams:
 
     Carries ab, the ratios b/a and a/b, the discriminant D = ab(ab+4), the
     quadratic roots alpha = (ab + sqrt(D))/2 and beta = (ab - sqrt(D))/2 of
-    x^2 - ab x - ab = 0, and per-instance memo tables for q and l.
-    Instances are immutable apart from the internal memo growth.
+    x^2 - ab x - ab = 0, and per-instance memo tables for q and l (plain
+    lists, so instances pickle and copy). Instances are immutable apart from
+    the internal memo growth.
     """
 
     __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b", "disc", "alpha", "beta",
@@ -92,8 +104,9 @@ class SeqParams:
         self.beta = QuadElement(self.ab * half, -half, self.disc)
         # D = 0 collapses alpha and beta and every Binet denominator with it
         self.binet_allowed = self.ab != -4
-        self._q = _MemoTable(Fraction(0), Fraction(1), even=a, odd=b)
-        self._l = _MemoTable(Fraction(2), a, even=b, odd=a)
+        # the one statement of which coefficient goes with which parity
+        self._q = _table(Fraction(0), Fraction(1), even=a, odd=b)
+        self._l = _table(Fraction(2), a, even=b, odd=a)
 
     def __repr__(self) -> str:
         return f"SeqParams(a={self.a}, b={self.b})"
@@ -109,34 +122,32 @@ class SeqParams:
 
 def q(params: SeqParams, n: int) -> Fraction:
     """n-th bi-periodic Fibonacci number, any integer n (memoized)."""
-    return params._q.get(n)
+    return _memo_term(params._q, n)
 
 
 def l(params: SeqParams, n: int) -> Fraction:
     """n-th bi-periodic Lucas number, any integer n (memoized)."""
-    return params._l.get(n)
-
-
-def _direct(v0, v1, even, odd, n):
-    if n >= 0:
-        lo, hi = v0, v1
-        for k in range(2, n + 1):
-            lo, hi = hi, (even if k % 2 == 0 else odd) * hi + lo
-        return v0 if n == 0 else hi
-    hi, lo = v1, v0
-    for m in range(-1, n - 1, -1):
-        hi, lo = lo, hi - (even if m % 2 == 0 else odd) * lo
-    return lo
+    return _memo_term(params._l, n)
 
 
 def q_direct(params: SeqParams, n: int) -> Fraction:
-    """Same value as :func:`q`, recomputed iteratively with no memo table."""
-    return _direct(Fraction(0), Fraction(1), params.a, params.b, n)
+    """Same value as :func:`q`, from a fresh walk that stores nothing."""
+    return _walk_term(params._q, n)
 
 
 def l_direct(params: SeqParams, n: int) -> Fraction:
-    """Same value as :func:`l`, recomputed iteratively with no memo table."""
-    return _direct(Fraction(2), params.a, params.b, params.a, n)
+    """Same value as :func:`l`, from a fresh walk that stores nothing."""
+    return _walk_term(params._l, n)
+
+
+def q_walk(params: SeqParams, v0, v1):
+    """Endless walk from v0, v1 with q's step coefficients."""
+    return alternating_walk(v0, v1, *params._q[0][:2])
+
+
+def l_walk(params: SeqParams, v0, v1):
+    """Endless walk from v0, v1 with l's step coefficients."""
+    return alternating_walk(v0, v1, *params._l[0][:2])
 
 
 def lucas_from_fib_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -243,6 +245,13 @@ class TestReportSerialization:
         assert back.to_json_dict() == doc
         assert back.checks_run == report.checks_run
         assert back.params == report.params
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        report = run_full_suite([SeqParams(2, 3)], 3)
+        for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+            back = copy_of(report)
+            assert back == report
+            assert back.to_json_dict() == report.to_json_dict()
 
     def test_schema_fields(self):
         doc = run_full_suite([SeqParams(1, 1)], 2).to_json_dict()

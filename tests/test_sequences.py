@@ -1,4 +1,7 @@
-from concurrent.futures import ThreadPoolExecutor
+import copy
+import pickle
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -143,8 +146,41 @@ class TestCrossRelations:
 
 
 def test_concurrent_memo_fills_are_consistent():
+    # eight threads released together race to fill fresh memo tables in both
+    # directions; a short switch interval makes interleaved fills likely
+    reference = SeqParams(F(2, 3), -5)
+    expected = {n: (q_direct(reference, n), l_direct(reference, n)) for n in range(-300, 301)}
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(20):
+            p = SeqParams(F(2, 3), -5)
+            start = threading.Barrier(8)
+
+            def fill(thread_no, p=p, start=start):
+                start.wait()
+                for n in (300, -300) if thread_no % 2 else (-300, 300):
+                    q(p, n)
+                    l(p, n)
+
+            threads = [threading.Thread(target=fill, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for n, values in expected.items():
+                assert (q(p, n), l(p, n)) == values, (round_no, n)
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_params_pickle_and_deepcopy_with_filled_memo():
     p = SeqParams(F(2, 3), -5)
-    expected = q_direct(p, 400)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: q(p, 400), range(16)))
-    assert all(r == expected for r in results)
+    for n in (-40, 40):
+        q(p, n)
+        l(p, n)
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        c = copy_of(p)
+        assert c == p
+        for n in range(-45, 46):
+            assert (q(c, n), l(c, n)) == (q(p, n), l(p, n)), n
