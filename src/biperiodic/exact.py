@@ -80,19 +80,39 @@ class QuadElement:
 
     ``sqrt(disc)`` stays symbolic even when ``disc`` is a perfect square;
     :meth:`normalized` folds it into the rational part on demand, and every
-    equality comparison against a plain rational goes through that fold.
-    Elements over different discriminants do not mix (arithmetic raises
-    :class:`MismatchedDiscriminant`); plain rationals coerce into any
-    discriminant.
+    equality comparison goes through that fold. Elements over different
+    discriminants do not mix (arithmetic raises
+    :class:`MismatchedDiscriminant`) but compare equal when both are the same
+    rational; plain rationals combine with any discriminant.
+
+    Storage. With D = p/q in lowest terms, let r = pq, so that
+    sqrt(D) = sqrt(r)/q. An element is held as three integers (x, y, d)
+    with value (x + y*sqrt(r))/d, canonical when d > 0 and
+    gcd(x, y, d) = 1, next to D and r, so every operation runs on plain
+    ints. ``rat``, ``irr`` and ``disc`` are read-only Fraction views, built
+    when read.
+
+    Cost model. A product is five integer multiplies and one gcd of the new
+    denominator with x and y; a sum reduces the way Fraction adds (one gcd
+    of the denominators, then one with x and y only when it is not 1); a
+    product with an ``int`` or ``Fraction`` p/q takes gcd(p, d) and
+    gcd(q, x, y), with no lift to an element. The perfect-square test of
+    :meth:`normalized` is one isqrt of r. The Fraction form instead pays a
+    gcd and an object per part per operation.
     """
 
-    __slots__ = ("rat", "irr", "disc")
+    __slots__ = ("_x", "_y", "_d", "_r", "_disc")
 
     def __init__(self, rat: RationalLike, irr: RationalLike, disc: RationalLike):
-        # bypass __setattr__-style tricks: plain slots, treated as frozen
-        self.rat = Fraction(rat)
-        self.irr = Fraction(irr)
-        self.disc = Fraction(disc)
+        rat, disc = Fraction(rat), Fraction(disc)
+        irr = Fraction(irr) / disc.denominator  # irr*sqrt(D) = (irr/q)*sqrt(r)
+        # the lcm of the denominators leaves no factor shared by all three
+        d = lcm(rat.denominator, irr.denominator)
+        self._x = rat.numerator * (d // rat.denominator)
+        self._y = irr.numerator * (d // irr.denominator)
+        self._d = d
+        self._r = disc.numerator * disc.denominator
+        self._disc = disc
 
     @classmethod
     def from_rational(cls, value: RationalLike, disc: RationalLike) -> QuadElement:
@@ -103,108 +123,132 @@ class QuadElement:
         """The element sqrt(disc) itself."""
         return cls(0, 1, disc)
 
-    def _coerce(self, other) -> QuadElement | None:
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def irr(self) -> Fraction:
+        return Fraction(self._y * self._disc.denominator, self._d)
+
+    @property
+    def disc(self) -> Fraction:
+        return self._disc
+
+    def _same_disc(self, other: QuadElement) -> None:
+        if other._disc is not self._disc and other._disc != self._disc:
+            raise MismatchedDiscriminant(
+                f"cannot combine sqrt({self._disc}) with sqrt({other._disc})"
+            )
+
+    def _form(self, other) -> tuple[int, int, int] | None:
+        """(x, y, d) of ``other`` over this discriminant, or None."""
         if isinstance(other, QuadElement):
-            if other.disc != self.disc:
-                raise MismatchedDiscriminant(
-                    f"cannot combine sqrt({self.disc}) with sqrt({other.disc})"
-                )
-            return other
+            self._same_disc(other)
+            return other._x, other._y, other._d
         if isinstance(other, (int, Fraction)):
-            return QuadElement(other, 0, self.disc)
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other) -> QuadElement:
-        o = self._coerce(other)
-        if o is None:
+        form = self._form(other)
+        if form is None:
             return NotImplemented
-        return QuadElement(self.rat + o.rat, self.irr + o.irr, self.disc)
+        return _add(self, *form)
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadElement:
-        return QuadElement(-self.rat, -self.irr, self.disc)
+        return _quad(-self._x, -self._y, self._d, self)
 
     def __sub__(self, other) -> QuadElement:
-        o = self._coerce(other)
-        if o is None:
+        form = self._form(other)
+        if form is None:
             return NotImplemented
-        return QuadElement(self.rat - o.rat, self.irr - o.irr, self.disc)
+        x, y, d = form
+        return _add(self, -x, -y, d)
 
     def __rsub__(self, other) -> QuadElement:
         return (-self) + other
 
     def __mul__(self, other) -> QuadElement:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElement(
-            self.rat * o.rat + self.irr * o.irr * self.disc,
-            self.rat * o.irr + self.irr * o.rat,
-            self.disc,
-        )
+        if isinstance(other, QuadElement):
+            self._same_disc(other)
+            x1, y1, d1 = self._x, self._y, self._d
+            x2, y2, d2 = other._x, other._y, other._d
+            return _reduced(x1 * x2 + y1 * y2 * self._r, x1 * y2 + y1 * x2, d1 * d2, self)
+        if isinstance(other, (int, Fraction)):
+            return _scaled(self, other.numerator, other.denominator)
+        return NotImplemented
 
+    # multiplication commutes; a QuadElement left operand never reaches here
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QuadElement:
         if n < 0:
             return self.inverse() ** (-n)
-        return _power(self, n, QuadElement(1, 0, self.disc))
+        return _power(self, n, _quad(1, 0, 1, self))
 
     def conj(self) -> QuadElement:
         """Conjugation sqrt(D) -> -sqrt(D); a ring homomorphism."""
-        return QuadElement(self.rat, -self.irr, self.disc)
+        return _quad(self._x, -self._y, self._d, self)
 
     def norm(self) -> Fraction:
         """rat^2 - irr^2 * disc (the element times its conjugate)."""
-        return self.rat * self.rat - self.irr * self.irr * self.disc
+        x, y, d = self._x, self._y, self._d
+        return Fraction(x * x - y * y * self._r, d * d)
 
     def inverse(self) -> QuadElement:
-        n = self.norm()
+        x, y, d = self._x, self._y, self._d
+        n = x * x - y * y * self._r
         if n == 0:
             # covers both the zero element and zero divisors of square disc
             raise ZeroDivisionError(f"{self!r} has zero norm and no inverse")
-        return QuadElement(self.rat / n, -self.irr / n, self.disc)
+        if n < 0:
+            n, d = -n, -d
+        # d/(x + y sqrt(r)) = d (x - y sqrt(r)) / n
+        return _reduced(d * x, -d * y, n, self)
 
     def __truediv__(self, other) -> QuadElement:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, QuadElement):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other) -> QuadElement:
         return self.inverse() * other
 
     def normalized(self) -> QuadElement:
         """Fold sqrt(disc) into the rational part when disc is a perfect square."""
-        if self.irr == 0:
+        y, r = self._y, self._r
+        if not y or r < 0:
             return self
-        root = rational_sqrt(self.disc)
-        if root is None:
+        root = isqrt(r)
+        if root * root != r:
             return self
-        return QuadElement(self.rat + self.irr * root, 0, self.disc)
+        return _reduced(self._x + y * root, 0, self._d, self)
 
     def is_rational(self) -> bool:
-        return self.normalized().irr == 0
+        return not self.normalized()._y
 
     def to_rational(self) -> Fraction:
         norm_self = self.normalized()
-        if norm_self.irr != 0:
+        if norm_self._y:
             raise IrrationalResidue(
-                f"{self!r} kept a nonzero sqrt({self.disc}) coefficient"
+                f"{self!r} kept a nonzero sqrt({self._disc}) coefficient"
             )
-        return norm_self.rat
+        return Fraction(norm_self._x, norm_self._d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadElement):
-            if self.disc == other.disc:
-                a, b = self.normalized(), other.normalized()
-                return a.rat == b.rat and a.irr == b.irr
             a, b = self.normalized(), other.normalized()
-            return a.irr == 0 and b.irr == 0 and a.rat == b.rat
+            if a._y or b._y:  # an irrational value needs the same D
+                return (a._x, a._y, a._d) == (b._x, b._y, b._d) and a._disc == b._disc
+            return a._x == b._x and a._d == b._d
         if isinstance(other, (int, Fraction)):
             n = self.normalized()
-            return n.irr == 0 and n.rat == other
+            return not n._y and n._x == other.numerator and n._d == other.denominator
         return NotImplemented
 
     def __bool__(self) -> bool:
@@ -214,9 +258,52 @@ class QuadElement:
         return f"QuadElement({self.rat}, {self.irr}, disc={self.disc})"
 
     def __str__(self) -> str:
-        if self.irr == 0:
+        if not self._y:
             return str(self.rat)
         return f"{self.rat} + {self.irr}*sqrt({self.disc})"
+
+
+def _quad(x: int, y: int, d: int, like: QuadElement) -> QuadElement:
+    """(x + y*sqrt(r))/d over the discriminant of ``like``; (x, y, d) canonical."""
+    e = object.__new__(QuadElement)
+    e._x, e._y, e._d, e._r, e._disc = x, y, d, like._r, like._disc
+    return e
+
+
+def _reduced(x: int, y: int, d: int, like: QuadElement) -> QuadElement:
+    """As :func:`_quad` for d > 0, dividing out gcd(x, y, d) first."""
+    g = gcd(d, x, y)
+    if g == 1:
+        return _quad(x, y, d, like)
+    return _quad(x // g, y // g, d // g, like)
+
+
+def _add(e: QuadElement, x2: int, y2: int, d2: int) -> QuadElement:
+    """e + (x2 + y2*sqrt(r))/d2, reduced as :func:`_add_forms` reduces."""
+    x1, y1, d1 = e._x, e._y, e._d
+    g = gcd(d1, d2)
+    if g == 1:
+        return _quad(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2, e)
+    s, t = d1 // g, d2 // g
+    x, y = x1 * t + x2 * s, y1 * t + y2 * s
+    g = gcd(g, x, y)
+    if g == 1:
+        return _quad(x, y, s * d2, e)
+    return _quad(x // g, y // g, s * (d2 // g), e)
+
+
+def _scaled(e: QuadElement, p: int, q: int) -> QuadElement:
+    """e times p/q (gcd(p, q) = 1, q > 0), reduced as :func:`_scale_form` reduces."""
+    x, y, d = e._x, e._y, e._d
+    g = gcd(p, d)
+    if g != 1:
+        p //= g
+        d //= g
+    g = gcd(q, x, y)
+    if g != 1:
+        q //= g
+        x, y = x // g, y // g
+    return _quad(p * x, p * y, q * d, e)
 
 
 IntForm = tuple[int, int, int, int, int]

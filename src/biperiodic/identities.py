@@ -242,18 +242,18 @@ def thm6_suite(params: SeqParams, n: int, fib=None, lucas=None) -> list[Identity
     form's backward extension.
     """
     fib, lucas = _providers(params, fib, lucas)
-    ba, ab_r = params.b_over_a, params.a_over_b
+    by = params.ratio_times
     e, e1 = eps(n), eps(n + 1)
     l0_fn = lucas(0) * fib(n)
-    mid_i = ba**e * lucas(n)
+    mid_i = by(e, lucas(n))
     f1_ln = fib(1) * lucas(n)
-    mid_iii = ab_r**e * (fib(n + 2) + fib(n))
+    mid_iii = by(-e, fib(n + 2) + fib(n))
     return [
         _mk("thm6.i.1", (n,), params, l0_fn, mid_i),
-        _mk("thm6.i.2", (n,), params, mid_i, ab_r**e1 * (fib(n - 1) + fib(n + 1))),
+        _mk("thm6.i.2", (n,), params, mid_i, by(-e1, fib(n - 1) + fib(n + 1))),
         _mk("thm6.ii", (n,), params, fib(n) * lucas(0), l0_fn),
         _mk("thm6.iii.1", (n,), params, f1_ln, mid_iii),
-        _mk("thm6.iii.2", (n,), params, mid_iii, ba**e1 * lucas(n + 1)),
+        _mk("thm6.iii.2", (n,), params, mid_iii, by(e1, lucas(n + 1))),
         _mk("thm6.iv", (n,), params, lucas(n) * fib(1), f1_ln),
     ]
 
@@ -267,65 +267,61 @@ def thm6_iii_variant(params: SeqParams, n: int, fib=None, lucas=None) -> Identit
     b/a is +-1.
     """
     fib, lucas = _providers(params, fib, lucas)
-    ba = params.b_over_a
     return _mk(
         "thm6.iii.negctl", (n,), params,
-        fib(1) * lucas(n), ba ** eps(n) * (fib(n + 2) + fib(n)),
+        fib(1) * lucas(n), params.ratio_times(eps(n), fib(n + 2) + fib(n)),
     )
 
 
 def thm7_suite(params: SeqParams, m: int, n: int, fib=None, lucas=None) -> list[IdentityCheck]:
     """Addition-law identities F_m F_n, F_m L_n, L_m L_n (comm + closed)."""
     fib, lucas = _providers(params, fib, lucas)
-    ba, ab_r = params.b_over_a, params.a_over_b
+    by = params.ratio_times
     fm_fn = fib(m) * fib(n)
     fm_ln = fib(m) * lucas(n)
     lm_ln = lucas(m) * lucas(n)
     return [
         _mk("thm7.i.comm", (m, n), params, fm_fn, fib(n) * fib(m)),
-        _mk("thm7.i.closed", (m, n), params, fm_fn, ba ** eps(m * n) * fib(m + n)),
+        _mk("thm7.i.closed", (m, n), params, fm_fn, by(eps(m * n), fib(m + n))),
         _mk("thm7.ii.comm", (m, n), params, fm_ln, lucas(n) * fib(m)),
         _mk(
             "thm7.ii.closed", (m, n), params, fm_ln,
-            ba ** (eps(m) * eps(n + 1)) * lucas(m + n),
+            by(eps(m) * eps(n + 1), lucas(m + n)),
         ),
         _mk("thm7.iii.comm", (m, n), params, lm_ln, lucas(n) * lucas(m)),
         _mk(
             "thm7.iii.closed", (m, n), params, lm_ln,
-            ab_r ** (2 - eps(m + 1) * eps(n + 1)) * ((params.ab + 4) * fib(m + n)),
+            by(eps(m + 1) * eps(n + 1) - 2, (params.ab + 4) * fib(m + n)),
         ),
     ]
 
 
 def _thm8_power_checks(params, m, n, fib, lucas, power) -> list[IdentityCheck]:
-    ba, ab_r = params.b_over_a, params.a_over_b
+    by = params.ratio_times
     en = eps(n)
     return [
-        _mk(
-            "thm8.i", (m, n), params, power(fib, n, m),
-            ba ** ((m // 2) * en) * fib(m * n),
-        ),
+        _mk("thm8.i", (m, n), params, power(fib, n, m), by((m // 2) * en, fib(m * n))),
         _mk(
             "thm8.ii", (m, n), params, power(fib, n + 1, m),
-            ab_r ** (((m + 1) // 2) * en) * (power(fib, 1, m) * fib(m * n)),
+            by(-((m + 1) // 2) * en, power(fib, 1, m) * fib(m * n)),
         ),
         _mk(
             "thm8.v", (m, n), params, power(lucas, 0, m) * fib(m * n),
-            ba ** (((m + 1) // 2) * en) * power(lucas, n, m),
+            by(((m + 1) // 2) * en, power(lucas, n, m)),
         ),
     ]
 
 
 def _thm8_spread_checks(params, n, r, fib, lucas, power) -> list[IdentityCheck]:
-    ba, ab_r = params.b_over_a, params.a_over_b
+    by = params.ratio_times
     sign = (-1) ** n
-    mid = ba ** eps(n - r) * power(fib, 2, n)
+    mid = by(eps(n - r), power(fib, 2, n))
     return [
         _mk("thm8.iii.1", (n, r), params, fib(n - r) * fib(n + r), mid),
-        _mk("thm8.iii.2", (n, r), params, mid, ba ** (sign * eps(r)) * power(fib, n, 2)),
+        _mk("thm8.iii.2", (n, r), params, mid, by(sign * eps(r), power(fib, n, 2))),
         _mk(
             "thm8.iv", (n, r), params, lucas(n - r) * lucas(n + r),
-            ab_r ** (sign * eps(r)) * power(lucas, n, 2),
+            by(-sign * eps(r), power(lucas, n, 2)),
         ),
     ]
 
@@ -430,8 +426,8 @@ def _coefficient_check(name, params, order, first_mismatch, expand, **kw) -> Ide
     return IdentityCheck(name, (order, k), params, got, lucas_matrix_closed(params, k), False)
 
 
-def _finite_inverse_sum_check(name, params, n, negative_control=False) -> IdentityCheck:
-    mismatch = finite_inverse_sum_mismatch(params, n, negative_control)
+def _finite_inverse_sum_check(name, params, n, lucas, negative_control=False) -> IdentityCheck:
+    mismatch = finite_inverse_sum_mismatch(params, n, negative_control, lucas)
     if mismatch is None:
         return IdentityCheck(name, (n,), params, None, None, True)
     exponent, lhs, rhs = mismatch
@@ -445,11 +441,12 @@ def run_series_suite(grid, max_index: int, order: int) -> SuiteReport:
     partial sum for n up to max_index, and two negative controls."""
     report = SuiteReport(suite="series", params=list(grid))
     for params in report.params:
+        _, lucas = _providers(params)
         report.tally(_coefficient_check(
             "genfunc.coeffs", params, order, first_generating_mismatch, lucas_generating_series
         ))
         for n in range(0, max_index + 1):
-            report.tally(_finite_inverse_sum_check("invsum.finite", params, n))
+            report.tally(_finite_inverse_sum_check("invsum.finite", params, n, lucas))
         report.tally(_coefficient_check(
             "invsum.infinite", params, order, first_infinite_mismatch, infinite_inverse_sum_series
         ))
@@ -457,7 +454,8 @@ def run_series_suite(grid, max_index: int, order: int) -> SuiteReport:
         for n, direct in enumerate(sums, start=1):
             report.record("partialsum", (n,), params, lucas_partial_sum(params, n), direct)
         report.negative_control(
-            _finite_inverse_sum_check("invsum.finite.negctl", params, 2, True), _NEGCTL_REASON
+            _finite_inverse_sum_check("invsum.finite.negctl", params, 2, lucas, True),
+            _NEGCTL_REASON,
         )
         report.negative_control(
             _coefficient_check(

@@ -142,9 +142,8 @@ def cassini_lucas_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:
     """Both sides of
     (b/a)^eps(n+1) l_{n+1} l_{n-1} - (b/a)^eps(n) l_n^2 = (ab+4) (-1)^(n+1).
     """
-    ba = params.b_over_a
-    lhs = ba ** eps(n + 1) * l(params, n + 1) * l(params, n - 1)
-    lhs -= ba ** eps(n) * l(params, n) ** 2
+    lhs = params.ratio_times(eps(n + 1), l(params, n + 1) * l(params, n - 1))
+    lhs -= params.ratio_times(eps(n), l(params, n) ** 2)
     return lhs, (params.ab + 4) * (-1) ** (n + 1)
 
 

@@ -108,6 +108,14 @@ class SeqParams:
         self._q = _table(Fraction(0), Fraction(1), even=a, odd=b)
         self._l = _table(Fraction(2), a, even=b, odd=a)
 
+    def ratio_times(self, e: int, x):
+        """(b/a)^e * x for any integer e: x itself when e = 0, and one
+        product by the stored b/a or a/b when e = +-1."""
+        if e == 0:
+            return x
+        ratio = self.b_over_a if e > 0 else self.a_over_b
+        return (ratio if e in (1, -1) else ratio ** abs(e)) * x
+
     def __repr__(self) -> str:
         return f"SeqParams(a={self.a}, b={self.b})"
 

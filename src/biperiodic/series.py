@@ -185,7 +185,7 @@ def verify_generating_function(params: SeqParams, order: int) -> bool:
 
 
 def finite_inverse_sum_sides(
-    params: SeqParams, n: int, negative_control: bool = False
+    params: SeqParams, n: int, negative_control: bool = False, lucas=None
 ) -> tuple[LaurentPoly, LaurentPoly]:
     """Both sides of the truncated inverse-power identity, cleared of
     denominators by x^(n+2) * (1 - (ab+2)x^2 + x^4).
@@ -194,11 +194,14 @@ def finite_inverse_sum_sides(
     - L_{n+2}/x^(n-2) + x^4 L_0 + x^3 L_1 - x^2 ((ab+1)L_0 - b L_1)
     - x (L_1 - a L_0). The negative control divides the fourth term by
     x^(n+2) instead, which is false for every n.
+
+    ``lucas`` maps k to L_k (default: the closed form at every call); a
+    caching one shares the terms across n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     a, b, ab = params.a, params.b, params.ab
-    big_l = lambda k: lucas_matrix_closed(params, k)
+    big_l = lucas if lucas is not None else lambda k: lucas_matrix_closed(params, k)
 
     quartic = LaurentPoly({0: Fraction(1), 2: -(ab + 2), 4: Fraction(1)})
     partial = LaurentPoly({n + 2 - k: big_l(k) for k in range(n + 1)})
@@ -221,10 +224,10 @@ def finite_inverse_sum_sides(
 
 
 def finite_inverse_sum_mismatch(
-    params: SeqParams, n: int, negative_control: bool = False
+    params: SeqParams, n: int, negative_control: bool = False, lucas=None
 ) -> tuple[int, Mat2, Mat2] | None:
     """First exponent where the cleared sides differ, or None if identical."""
-    lhs, rhs = finite_inverse_sum_sides(params, n, negative_control)
+    lhs, rhs = finite_inverse_sum_sides(params, n, negative_control, lucas)
     diff = lhs - rhs
     if not diff:
         return None

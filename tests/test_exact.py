@@ -323,3 +323,160 @@ class TestMat2IntegerForm:
         assert repr(a) == "Mat2(Fraction(1, 1), Fraction(2, 1), Fraction(2, 1), Fraction(0, 1))"
         assert str(a / 4) == "[[1/4, 1/2], [1/2, 0]]"
 
+
+
+# a denominator (5/4), a perfect square (225/16), negative (-3, -7/4), and
+# 20, whose r = num * den equals that of 5/4
+quad_discs = st.sampled_from([F(5), F(5, 4), F(225, 16), F(-3), F(-7, 4), F(20)])
+two_rationals = st.tuples(rationals, rationals)
+
+
+def _quad_ref_mul(x, y, disc):
+    """(rat, irr) product of two Fraction pairs over sqrt(disc)."""
+    return (x[0] * y[0] + x[1] * y[1] * disc, x[0] * y[1] + x[1] * y[0])
+
+
+def _quad_ref_inverse(x, disc):
+    n = x[0] * x[0] - x[1] * x[1] * disc
+    return (x[0] / n, -x[1] / n)
+
+
+def _quad_ref_normalized(x, disc):
+    root = rational_sqrt(disc)
+    if root is None:
+        return x
+    return (x[0] + x[1] * root, F(0))
+
+
+def _parts(q):
+    """(rat, irr) of q, checking the Fraction views and the canonical form."""
+    assert type(q.rat) is F and type(q.irr) is F and type(q.disc) is F
+    assert q._d > 0 and math.gcd(q._x, q._y, q._d) == 1
+    return q.rat, q.irr
+
+
+class TestQuadIntegerForm:
+    """Integer-form QuadElement arithmetic against a (rat, irr) Fraction reference."""
+
+    @given(quad_discs, two_rationals, two_rationals, two_rationals)
+    def test_add_sub_mul(self, disc, x, y, z):
+        a, b, c = (QuadElement(*u, disc) for u in (x, y, z))
+        assert _parts(a) == x
+        assert _parts(a + b) == (x[0] + y[0], x[1] + y[1])
+        assert _parts(a - b) == (x[0] - y[0], x[1] - y[1])
+        assert _parts(-a) == (-x[0], -x[1])
+        xy = _quad_ref_mul(x, y, disc)
+        assert _parts(a * b) == xy
+        # operands that were themselves produced by integer arithmetic
+        assert _parts(a * b - c) == (xy[0] - z[0], xy[1] - z[1])
+        assert _parts((a * b) * (c + a)) == _quad_ref_mul(
+            xy, (z[0] + x[0], z[1] + x[1]), disc
+        )
+
+    @given(quad_discs, two_rationals, scalars)
+    def test_rational_operands(self, disc, x, c):
+        a = QuadElement(*x, disc)
+        scaled = (x[0] * c, x[1] * c)
+        assert _parts(a * c) == _parts(c * a) == scaled
+        assert _parts(a + c) == _parts(c + a) == (x[0] + c, x[1])
+        assert _parts(a - c) == (x[0] - c, x[1])
+        assert _parts(c - a) == (c - x[0], -x[1])
+        if c == 0:
+            with pytest.raises(ZeroDivisionError):
+                a / c
+        else:
+            assert _parts(a / c) == (x[0] / c, x[1] / c)
+        if a.norm() != 0:
+            inv = _quad_ref_inverse(x, disc)
+            assert _parts(c / a) == (inv[0] * c, inv[1] * c)
+
+    @given(quad_discs, two_rationals, st.integers(-5, 7))
+    def test_pow(self, disc, x, n):
+        a = QuadElement(*x, disc)
+        if n < 0 and a.norm() == 0:
+            with pytest.raises(ZeroDivisionError):
+                a**n
+            return
+        base = _quad_ref_inverse(x, disc) if n < 0 else x
+        want = (F(1), F(0))
+        for _ in range(abs(n)):
+            want = _quad_ref_mul(want, base, disc)
+        assert _parts(a**n) == want
+
+    @given(quad_discs, two_rationals, two_rationals)
+    def test_conj_norm_inverse_div(self, disc, x, y):
+        a, b = QuadElement(*x, disc), QuadElement(*y, disc)
+        assert _parts(a.conj()) == (x[0], -x[1])
+        norm = a.norm()
+        assert type(norm) is F and norm == x[0] * x[0] - x[1] * x[1] * disc
+        if norm == 0:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            with pytest.raises(ZeroDivisionError):
+                b / a
+        else:
+            inv = _quad_ref_inverse(x, disc)
+            assert _parts(a.inverse()) == inv
+            assert _parts(b / a) == _quad_ref_mul(y, inv, disc)
+
+    @given(quad_discs, two_rationals)
+    def test_normalized_and_to_rational(self, disc, x):
+        a = QuadElement(*x, disc)
+        want = _quad_ref_normalized(x, disc)
+        assert _parts(a.normalized()) == want
+        assert a.normalized().disc == disc
+        assert a.is_rational() == (want[1] == 0)
+        if want[1] == 0:
+            assert a.to_rational() == want[0] and type(a.to_rational()) is F
+        else:
+            with pytest.raises(IrrationalResidue):
+                a.to_rational()
+
+    @given(quad_discs, quad_discs, two_rationals, two_rationals)
+    def test_equality_matches_reference(self, d1, d2, x, y):
+        a, b = QuadElement(*x, d1), QuadElement(*y, d2)
+        nx, ny = _quad_ref_normalized(x, d1), _quad_ref_normalized(y, d2)
+        if d1 == d2:
+            assert (a == b) == (nx == ny)
+        else:
+            assert (a == b) == (nx[1] == 0 and ny[1] == 0 and nx[0] == ny[0])
+        assert (a == x[0]) == (nx == (x[0], 0))
+        assert bool(a) == (nx != (0, 0))
+
+    def test_reads_and_text(self):
+        x = QuadElement(F(1, 2), F(-3, 4), F(5, 4))
+        assert (x.rat, x.irr, x.disc) == (F(1, 2), F(-3, 4), F(5, 4))
+        assert all(type(v) is F for v in (x.rat, x.irr, x.disc))
+        assert repr(x) == "QuadElement(1/2, -3/4, disc=5/4)"
+        assert str(x) == "1/2 + -3/4*sqrt(5/4)"
+        assert str(QuadElement(F(6, 4), 0, 5)) == "3/2"
+        for name in ("rat", "irr", "disc"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, F(1))
+
+    def test_equality_across_discriminants(self):
+        assert QuadElement(3, 0, 5) == QuadElement(3, 0, F(5, 4))
+        assert QuadElement(0, 4, F(225, 16)) == 15 == QuadElement(15, 0, -3)
+        # 1 + 2*sqrt(5) and 1 + sqrt(20): irrational values over different D
+        # never compare equal
+        assert QuadElement(1, 2, 5) != QuadElement(1, 1, 20)
+
+    def test_discriminant_not_r_decides_mixing(self):
+        # 20 and 5/4 share r = 20, but they are different discriminants
+        with pytest.raises(MismatchedDiscriminant):
+            QuadElement(1, 1, 20) * QuadElement(1, 1, F(5, 4))
+        with pytest.raises(MismatchedDiscriminant):
+            QuadElement(1, 1, 20) - QuadElement(1, 1, F(5, 4))
+        with pytest.raises(MismatchedDiscriminant):
+            QuadElement(1, 1, -3) / QuadElement(1, 1, 5)
+
+    def test_zero_norm_has_no_inverse(self):
+        for zero_norm in (
+            QuadElement(F(15, 4), -1, F(225, 16)),  # 15/4 - sqrt(225/16)
+            QuadElement(0, 0, -3),
+            QuadElement(0, 0, F(5, 4)),
+        ):
+            assert zero_norm.norm() == 0
+            for op in (lambda z: z.inverse(), lambda z: z**-1, lambda z: 1 / z):
+                with pytest.raises(ZeroDivisionError):
+                    op(zero_norm)

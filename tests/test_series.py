@@ -1,10 +1,11 @@
 from fractions import Fraction as F
+from functools import cache
 from itertools import islice
 
 import pytest
 
 from biperiodic.exact import Mat2
-from biperiodic.matrixseq import lucas_matrix_rec_iter
+from biperiodic.matrixseq import lucas_matrix_closed, lucas_matrix_rec_iter
 from biperiodic.sequences import SeqParams
 from biperiodic.series import (
     LaurentPoly,
@@ -100,6 +101,15 @@ class TestFiniteInverseSum:
         for n in range(0, 6):
             mismatch = finite_inverse_sum_mismatch(p, n, negative_control=True)
             assert mismatch is not None, (p, n)
+
+    @pytest.mark.parametrize("p", SAMPLE, ids=str)
+    def test_lucas_provider_gives_the_same_result(self, p):
+        lucas = cache(lambda k: lucas_matrix_closed(p, k))
+        for n in range(0, 13):
+            for control in (False, True):
+                assert finite_inverse_sum_mismatch(p, n, control, lucas) == (
+                    finite_inverse_sum_mismatch(p, n, control)
+                ), (p, n, control)
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
