@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 from functools import cache
 from itertools import islice
@@ -29,6 +30,17 @@ SAMPLE = [
     SeqParams(3, -1),
     SeqParams(F(1, 2), 4),
     SeqParams(F(-3, 2), F(-3, 2)),
+]
+
+# sha256 of the negative controls' outcomes on each SAMPLE pair, recorded
+# before the series types were replaced by plain tuples and dicts: the
+# finite mismatch (exponent, lhs, rhs) for n = 0..5, then the infinite one
+NEGATIVE_CONTROL_DIGESTS = [
+    "c93ce4590cad0023ee14e1115c4f31adddd166687d496eaea9ee966b3960ee34",
+    "56f2909436c4b60a15ba081689ec2bdb35adf1955cbdf286fe16a18cd62eaf7f",
+    "ecb66c48cedbdebd3678a391b3edee276e600b60ad9fb7f9db2688782282f02b",
+    "9e6af005376f10d6765bdcf7812eb5faf6ada36e5ebb99a0465e9d7813efdd6e",
+    "ef03bdafa92c56b210cc1ce488d54eb61833fa8a99ec79aa0672b3317a385758",
 ]
 
 
@@ -154,3 +166,13 @@ class TestPartialSum:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             lucas_partial_sum(SeqParams(1, 1), 0)
+
+
+@pytest.mark.parametrize(
+    "p, digest", zip(SAMPLE, NEGATIVE_CONTROL_DIGESTS), ids=[str(p) for p in SAMPLE]
+)
+def test_negative_control_outcomes_are_pinned(p, digest):
+    finite = [finite_inverse_sum_mismatch(p, n, negative_control=True) for n in range(6)]
+    outcomes = [(e, str(lhs), str(rhs)) for e, lhs, rhs in finite]
+    outcomes.append(first_infinite_mismatch(p, 10, negative_control=True))
+    assert hashlib.sha256(str(outcomes).encode()).hexdigest() == digest
