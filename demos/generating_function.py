@@ -20,24 +20,21 @@ from biperiodic import (
     lucas_generating_series,
     lucas_matrix_rec_iter,
     lucas_partial_sum,
-    verify_finite_inverse_sum,
-    verify_infinite_inverse_sum,
-    verify_partial_sum,
 )
+from biperiodic.series import direct_partial_sums
 
 p = SeqParams(F(1, 2), 4)
 print("=" * 72)
 print(f"Generating function expansion, a = {p.a}, b = {p.b}")
 print("=" * 72)
 series = lucas_generating_series(p, 8)
-for k, term in enumerate(islice(lucas_matrix_rec_iter(p), 8)):
-    coeff = series.coefficient(k)
+for k, (coeff, term) in enumerate(zip(series, lucas_matrix_rec_iter(p))):
     print(f"  x^{k}: {str(coeff):<42} match={coeff == term}")
 print()
 
 print("Truncated inverse-power sums (Laurent-polynomial comparison):")
 for n in range(0, 6):
-    print(f"  n={n}: {verify_finite_inverse_sum(p, n)}")
+    print(f"  n={n}: {finite_inverse_sum_mismatch(p, n) is None}")
 print()
 
 print("The same with the negative-control transcription (x^(n+2) tail):")
@@ -47,12 +44,13 @@ for n in range(0, 3):
 print()
 
 print("Full inverse-power series in t = 1/x vs the recurrence:")
-print(f"  first 30 coefficients match: {verify_infinite_inverse_sum(p, 30)}")
+print(f"  first 30 coefficients match: {first_infinite_mismatch(p, 30) is None}")
 k = first_infinite_mismatch(p, 10, negative_control=True)
 print(f"  negative control mismatches at coefficient {k}")
 print()
 
 print("Closed partial-sum formula vs direct summation:")
 print(f"  sum of L_0..L_4 = {lucas_partial_sum(p, 5)}")
+direct = islice(direct_partial_sums(p), 1, 51)
 print(f"  matches direct sums for n = 1..50: "
-      f"{all(verify_partial_sum(p, n) for n in range(1, 51))}")
+      f"{all(lucas_partial_sum(p, n) == s for n, s in enumerate(direct, start=1))}")

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from biperiodic import (
     BinetDegenerate,
     SeqParams,
-    cassini_lucas,
+    cassini_lucas_sides,
     fib_matrix_binet,
     fib_matrix_closed,
     fib_matrix_rec,
@@ -68,5 +68,9 @@ print()
 print("Determinant and the Cassini consequence, a = 2, b = 3:")
 for n in range(0, 6):
     m = lucas_matrix_closed(p, n)
+    cassini = "-"
+    if n >= 1:
+        lhs, rhs = cassini_lucas_sides(p, n)
+        cassini = lhs == rhs
     print(f"  n={n}: det(L_n) = {m.det()} = (ab+4)(-a/b)^(1+eps(n)) = {lucas_det(p, n)}"
-          f"   cassini: {cassini_lucas(p, n) if n >= 1 else '-'}")
+          f"   cassini: {cassini}")

@@ -7,7 +7,7 @@ Run:  python demos/sequences_tour.py
 
 from fractions import Fraction as F
 
-from biperiodic import SeqParams, check_fib_from_lucas, check_lucas_from_fib, l, q
+from biperiodic import SeqParams, fib_from_lucas_sides, l, lucas_from_fib_sides, q
 
 print("=" * 72)
 print("Bi-periodic Fibonacci q_n and Lucas l_n")
@@ -33,8 +33,8 @@ print()
 
 print("Cross-relations, checked exactly for a sample window:")
 p = SeqParams(F(5, 3), F(-3, 2))
-ok1 = all(check_lucas_from_fib(p, n) for n in range(-20, 51))
-ok2 = all(check_fib_from_lucas(p, n) for n in range(-20, 51))
+ok1 = all(lhs == rhs for lhs, rhs in (lucas_from_fib_sides(p, n) for n in range(-20, 51)))
+ok2 = all(lhs == rhs for lhs, rhs in (fib_from_lucas_sides(p, n) for n in range(-20, 51)))
 print(f"  l_n = q_(n-1) + q_(n+1)          for n in [-20, 50]: {ok1}")
 print(f"  (ab+4) q_n = l_(n+1) + l_(n-1)   for n in [-20, 50]: {ok2}")
 print()

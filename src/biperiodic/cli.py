@@ -17,7 +17,6 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import islice
 
 from .exact import Mat2, parse_rational
 from .identities import default_grid, run_full_suite, run_series_suite
@@ -152,8 +151,7 @@ def cmd_series(args) -> int:
     params = _make_params(args.a, args.b)
     expansion = lucas_generating_series(params, args.order)
     rows = []
-    for k, term in enumerate(islice(lucas_matrix_rec_iter(params), args.order)):
-        coeff = expansion.coefficient(k)
+    for k, (coeff, term) in enumerate(zip(expansion, lucas_matrix_rec_iter(params))):
         rows.append((k, coeff, term, coeff == term))
     if args.format == "json":
         out = json.dumps(
@@ -263,7 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse before 3.13 turns "--opt=--" into an empty list, unconverted
+    if [] in vars(args).values():
+        parser.error("'--' is not a value for an option")
     # Exact terms outgrow the interpreter's int-to-str digit limit (4300 by
     # default where it exists), so printing them needs it lifted. Only for
     # the command itself: argument parsing keeps the limit on untrusted input.

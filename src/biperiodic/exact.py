@@ -346,10 +346,9 @@ class Mat2:
     :data:`IntForm`). That form is canonical, so every operation runs on
     plain ints. The entries ``e11``, ``e12``,
     ``e21``, ``e22`` (and :meth:`entries`, :meth:`rows`) are read-only
-    Fraction views. Both forms are lazy: a matrix built from Fractions keeps
-    them and derives the integer form on its first arithmetic use; a matrix
+    Fraction views. The integer form is built at construction; a matrix
     produced by integer arithmetic builds its Fractions only when an entry
-    is read. Either is cached once built.
+    is read, and caches them.
 
     Cost model. A product is eight integer multiplies and one gcd of the
     new denominator with the four numerators; a sum is one gcd of the two
@@ -363,13 +362,7 @@ class Mat2:
 
     def __init__(self, e11, e12, e21, e22):
         self._entries = (_entry(e11), _entry(e12), _entry(e21), _entry(e22))
-        self._form = None
-
-    def _int_form(self) -> IntForm:
-        form = self._form
-        if form is None:
-            form = self._form = _integer_form(self._entries)
-        return form
+        self._form = _integer_form(self._entries)
 
     @classmethod
     def identity(cls) -> Mat2:
@@ -411,23 +404,23 @@ class Mat2:
     def __add__(self, other) -> Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return _add_forms(self._int_form(), other._int_form())
+        return _add_forms(self._form, other._form)
 
     def __sub__(self, other) -> Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
-        n11, n12, n21, n22, d = other._int_form()
-        return _add_forms(self._int_form(), (-n11, -n12, -n21, -n22, d))
+        n11, n12, n21, n22, d = other._form
+        return _add_forms(self._form, (-n11, -n12, -n21, -n22, d))
 
     def __neg__(self) -> Mat2:
-        n11, n12, n21, n22, d = self._int_form()
+        n11, n12, n21, n22, d = self._form
         return _from_form((-n11, -n12, -n21, -n22, d))
 
     def __mul__(self, other) -> Mat2:
         if isinstance(other, Mat2):
-            return _mul_forms(self._int_form(), other._int_form())
+            return _mul_forms(self._form, other._form)
         if isinstance(other, (int, Fraction)):
-            return _scale_form(self._int_form(), other.numerator, other.denominator)
+            return _scale_form(self._form, other.numerator, other.denominator)
         return NotImplemented
 
     # scalars commute with matrices; a Mat2 left operand never reaches here
@@ -444,25 +437,20 @@ class Mat2:
         return _power(self, n, Mat2.identity())
 
     def det(self) -> Fraction:
-        n11, n12, n21, n22, d = self._int_form()
+        n11, n12, n21, n22, d = self._form
         return Fraction(n11 * n22 - n12 * n21, d * d)
 
     def trace(self) -> Fraction:
-        n11, _, _, n22, d = self._int_form()
+        n11, _, _, n22, d = self._form
         return Fraction(n11 + n22, d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat2):
             return NotImplemented
-        if self._entries is not None and other._entries is not None:
-            return self._entries == other._entries
-        return self._int_form() == other._int_form()
+        return self._form == other._form
 
     def __bool__(self) -> bool:
-        entries = self._entries
-        if entries is None:
-            return any(self._form[:4])
-        return any(entries)
+        return any(self._form[:4])
 
     def __repr__(self) -> str:
         return f"Mat2({self.e11!r}, {self.e12!r}, {self.e21!r}, {self.e22!r})"

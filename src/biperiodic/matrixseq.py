@@ -145,9 +145,3 @@ def cassini_lucas_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:
     lhs = params.ratio_times(eps(n + 1), l(params, n + 1) * l(params, n - 1))
     lhs -= params.ratio_times(eps(n), l(params, n) ** 2)
     return lhs, (params.ab + 4) * (-1) ** (n + 1)
-
-
-def cassini_lucas(params: SeqParams, n: int) -> bool:
-    """Exact check of the two sides of :func:`cassini_lucas_sides`."""
-    lhs, rhs = cassini_lucas_sides(params, n)
-    return lhs == rhs

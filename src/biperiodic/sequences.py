@@ -166,15 +166,3 @@ def lucas_from_fib_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]
 def fib_from_lucas_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:
     """Both sides of (ab+4) * q_n = l_{n+1} + l_{n-1}."""
     return (params.ab + 4) * q(params, n), l(params, n + 1) + l(params, n - 1)
-
-
-def check_lucas_from_fib(params: SeqParams, n: int) -> bool:
-    """Exact check of l_n == q_{n-1} + q_{n+1}."""
-    lhs, rhs = lucas_from_fib_sides(params, n)
-    return lhs == rhs
-
-
-def check_fib_from_lucas(params: SeqParams, n: int) -> bool:
-    """Exact check of (ab+4) * q_n == l_{n+1} + l_{n-1}."""
-    lhs, rhs = fib_from_lucas_sides(params, n)
-    return lhs == rhs

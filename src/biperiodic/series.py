@@ -1,68 +1,38 @@
-"""Formal truncated power series and Laurent polynomials, exact coefficients.
+"""Formal power series and Laurent sums with exact coefficients, on plain
+data: a truncated series is a tuple of its first coefficients, and a finite
+Laurent sum is an exponent -> coefficient dict with zeros dropped.
 
 Used to verify the four summation facts about the Lucas matrix sequence:
 its ordinary generating function, the truncated and full inverse-power
 summations (formal series in t = 1/x), and the closed partial-sum formula.
 
 The inverse-power checks each exist in two transcriptions. The default one
-is true and is what `verify_*` asserts. The `negative_control=True` variant
-carries sign-slipped low-order coefficients (finite case: the trailing term
-divided by x^(n+2) instead of x^(n-2)); it is false for every input and is
-kept so the verification machinery provably can fail.
+is true: its ``*_mismatch`` function returns None. The
+``negative_control=True`` variant carries sign-slipped low-order
+coefficients (finite case: the trailing term divided by x^(n+2) instead of
+x^(n-2)); it is false for every input and is kept so the verification
+machinery provably can fail.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .exact import Mat2
 from .matrixseq import lucas_matrix_closed, lucas_matrix_rec_iter
 from .sequences import SeqParams, eps
 
 
-class TruncatedSeries:
-    """Coefficients 0..order-1 of a formal power series, padded with ``zero``.
+def expand_rational(num, den, order: int, zero=None) -> tuple:
+    """Coefficients 0..order-1 of num(x)/den(x), by exact long division.
 
-    Coefficients may be any ring elements (Fractions and Mat2 both work);
-    :func:`expand_rational` builds them.
+    ``num`` holds ring coefficients (ascending; Fractions and Mat2 both
+    work), padded with ``zero`` past its end; ``den`` holds scalar
+    coefficients with den[0] invertible.
     """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order: int | None = None, zero=None):
-        coeffs = list(coeffs)
-        if zero is None:
-            zero = coeffs[0] * 0 if coeffs else Fraction(0)
-        if order is None:
-            order = len(coeffs)
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if len(coeffs) < order:
-            coeffs.extend([zero] * (order - len(coeffs)))
-        self.coeffs = tuple(coeffs[:order])
-        self.order = order
-
-    def coefficient(self, k: int):
-        if not 0 <= k < self.order:
-            raise IndexError(f"coefficient {k} outside truncation order {self.order}")
-        return self.coeffs[k]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
-
-
-def expand_rational(num, den, order: int, zero=None) -> TruncatedSeries:
-    """Series of num(x)/den(x) to ``order`` by exact long division.
-
-    ``num`` holds ring coefficients (ascending), ``den`` scalar coefficients
-    with den[0] invertible.
-    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
     den = [Fraction(c) for c in den]
     if den[0] == 0:
         raise ZeroDivisionError("denominator constant term must be invertible")
@@ -76,68 +46,22 @@ def expand_rational(num, den, order: int, zero=None) -> TruncatedSeries:
         for j in range(1, min(k, len(den) - 1) + 1):
             acc = acc - den[j] * out[k - j]
         out.append(inv0 * acc)
-    return TruncatedSeries(out, order, zero)
+    return tuple(out)
 
 
-class LaurentPoly:
-    """Finite formal sum of coefficients times integer powers of x.
-
-    Stored as an exponent -> coefficient map with zero coefficients dropped,
-    so dict equality is exact mathematical equality.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        cleaned = {}
-        for exponent, c in items:
-            if exponent in cleaned:
-                c = cleaned[exponent] + c
-            if c:
-                cleaned[exponent] = c
-            else:
-                cleaned.pop(exponent, None)
-        self.coeffs = cleaned
-
-    def coefficient(self, exponent: int, default=Fraction(0)):
-        return self.coeffs.get(exponent, default)
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
-    def __add__(self, other) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly(list(self.coeffs.items()) + list(other.coeffs.items()))
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out: list[tuple[int, object]] = []
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out.append((e1 + e2, c1 * c2))
-        return LaurentPoly(out)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.coeffs!r})"
+def _collect(terms) -> dict:
+    """Exponent -> coefficient map of a sum of (exponent, coefficient)
+    terms, with zero coefficients dropped, so dict equality is exact
+    equality of the sums."""
+    out = {}
+    for exponent, c in terms:
+        if exponent in out:
+            c = out[exponent] + c
+        if c:
+            out[exponent] = c
+        else:
+            out.pop(exponent, None)
+    return out
 
 
 def quartic_denominator(params: SeqParams) -> list[Fraction]:
@@ -159,18 +83,18 @@ def generating_numerator(params: SeqParams) -> list[Mat2]:
     return [Mat2(top[i], mid[i], a_b * mid[i], bot[i]) for i in range(4)]
 
 
-def lucas_generating_series(params: SeqParams, order: int) -> TruncatedSeries:
+def lucas_generating_series(params: SeqParams, order: int) -> tuple:
     """First ``order`` coefficients of sum_k L_k x^k."""
     return expand_rational(
         generating_numerator(params), quartic_denominator(params), order, Mat2.zero()
     )
 
 
-def _first_recurrence_mismatch(params: SeqParams, series: TruncatedSeries) -> int | None:
+def _first_recurrence_mismatch(params: SeqParams, series: tuple) -> int | None:
     """Index of the first series coefficient that differs from the
     recurrence term L_k, or None; the recurrence is the independent oracle."""
-    for k, term in enumerate(islice(lucas_matrix_rec_iter(params), series.order)):
-        if series.coefficient(k) != term:
+    for k, (coeff, term) in enumerate(zip(series, lucas_matrix_rec_iter(params))):
+        if coeff != term:
             return k
     return None
 
@@ -180,15 +104,12 @@ def first_generating_mismatch(params: SeqParams, order: int) -> int | None:
     return _first_recurrence_mismatch(params, lucas_generating_series(params, order))
 
 
-def verify_generating_function(params: SeqParams, order: int) -> bool:
-    return first_generating_mismatch(params, order) is None
-
-
 def finite_inverse_sum_sides(
     params: SeqParams, n: int, negative_control: bool = False, lucas=None
-) -> tuple[LaurentPoly, LaurentPoly]:
+) -> tuple[dict, dict]:
     """Both sides of the truncated inverse-power identity, cleared of
-    denominators by x^(n+2) * (1 - (ab+2)x^2 + x^4).
+    denominators by x^(n+2) * (1 - (ab+2)x^2 + x^4), as exponent ->
+    coefficient dicts.
 
     RHS braced terms: L_{n-1}/x^(n-1) - L_{n+1}/x^(n-3) + L_n/x^n
     - L_{n+2}/x^(n-2) + x^4 L_0 + x^3 L_1 - x^2 ((ab+1)L_0 - b L_1)
@@ -203,12 +124,14 @@ def finite_inverse_sum_sides(
     a, b, ab = params.a, params.b, params.ab
     big_l = lucas if lucas is not None else lambda k: lucas_matrix_closed(params, k)
 
-    quartic = LaurentPoly({0: Fraction(1), 2: -(ab + 2), 4: Fraction(1)})
-    partial = LaurentPoly({n + 2 - k: big_l(k) for k in range(n + 1)})
-    lhs = quartic * partial
+    quartic = _collect([(0, Fraction(1)), (2, -(ab + 2)), (4, Fraction(1))])
+    partial = _collect((n + 2 - k, big_l(k)) for k in range(n + 1))
+    lhs = _collect(
+        (e1 + e2, c1 * c2) for e1, c1 in quartic.items() for e2, c2 in partial.items()
+    )
 
     tail_exponent = n + 2 if negative_control else n - 2
-    rhs = LaurentPoly(
+    rhs = _collect(
         [
             (3, big_l(n - 1)),
             (5, -big_l(n + 1)),
@@ -228,18 +151,11 @@ def finite_inverse_sum_mismatch(
 ) -> tuple[int, Mat2, Mat2] | None:
     """First exponent where the cleared sides differ, or None if identical."""
     lhs, rhs = finite_inverse_sum_sides(params, n, negative_control, lucas)
-    diff = lhs - rhs
-    if not diff:
+    if lhs == rhs:
         return None
-    e = diff.support()[0]
+    e = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
     zero = Mat2.zero()
-    return e, lhs.coefficient(e, zero), rhs.coefficient(e, zero)
-
-
-def verify_finite_inverse_sum(
-    params: SeqParams, n: int, negative_control: bool = False
-) -> bool:
-    return finite_inverse_sum_mismatch(params, n, negative_control) is None
+    return e, lhs.get(e, zero), rhs.get(e, zero)
 
 
 def inverse_sum_numerator(params: SeqParams, negative_control: bool = False) -> list[Mat2]:
@@ -265,7 +181,7 @@ def inverse_sum_numerator(params: SeqParams, negative_control: bool = False) -> 
 
 def infinite_inverse_sum_series(
     params: SeqParams, order: int, negative_control: bool = False
-) -> TruncatedSeries:
+) -> tuple:
     """Expansion of the inverse-power sum as a series in t = 1/x.
 
     Substituting x = 1/t into x*M(x)/(1-(ab+2)x^2+x^4) reverses the
@@ -286,26 +202,23 @@ def first_infinite_mismatch(
     )
 
 
-def verify_infinite_inverse_sum(
-    params: SeqParams, order: int, negative_control: bool = False
-) -> bool:
-    return first_infinite_mismatch(params, order, negative_control) is None
-
-
-def lucas_partial_sum(params: SeqParams, n: int) -> Mat2:
+def lucas_partial_sum(params: SeqParams, n: int, lucas=None) -> Mat2:
     """Closed form for sum_{k=0}^{n-1} L_k, n >= 1:
 
     (1/ab) ( b^eps(n) a^(1-eps(n)) L_n + b^(1-eps(n)) a^eps(n) L_{n-1}
              - b L_1 + (ab - a) L_0 ).
+
+    ``lucas`` maps k to L_k, as in :func:`finite_inverse_sum_sides`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a, b, ab = params.a, params.b, params.ab
+    big_l = lucas if lucas is not None else lambda k: lucas_matrix_closed(params, k)
     e = eps(n)
-    total = (b**e * a ** (1 - e)) * lucas_matrix_closed(params, n)
-    total = total + (b ** (1 - e) * a**e) * lucas_matrix_closed(params, n - 1)
-    total = total - b * lucas_matrix_closed(params, 1)
-    total = total + (ab - a) * lucas_matrix_closed(params, 0)
+    total = (b**e * a ** (1 - e)) * big_l(n)
+    total = total + (b ** (1 - e) * a**e) * big_l(n - 1)
+    total = total - b * big_l(1)
+    total = total + (ab - a) * big_l(0)
     return total / ab
 
 
@@ -313,9 +226,3 @@ def direct_partial_sums(params: SeqParams):
     """Endless generator of sum_{k<n} L_k for n = 0, 1, ..., summing the
     recurrence terms one by one."""
     return accumulate(lucas_matrix_rec_iter(params), initial=Mat2.zero())
-
-
-def verify_partial_sum(params: SeqParams, n: int) -> bool:
-    """Closed partial sum against direct summation of the recurrence terms."""
-    closed = lucas_partial_sum(params, n)
-    return closed == next(islice(direct_partial_sums(params), n, None))

@@ -8,6 +8,7 @@ the only numeric bounds are the two stated wall-clock budgets.
 import json
 import time
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -30,10 +31,10 @@ from biperiodic.matrixseq import (
 )
 from biperiodic.sequences import BinetDegenerate, SeqParams, l, q
 from biperiodic.series import (
+    finite_inverse_sum_mismatch,
+    first_infinite_mismatch,
     lucas_generating_series,
-    verify_finite_inverse_sum,
-    verify_infinite_inverse_sum,
-    verify_partial_sum,
+    lucas_partial_sum,
 )
 
 GRID = default_grid()
@@ -91,13 +92,17 @@ def test_criterion_3_series_facts():
         series = lucas_generating_series(params, 40)
         rec = lucas_matrix_rec_iter(params)
         for k in range(40):
-            if series.coefficient(k) != next(rec):
+            if series[k] != next(rec):
                 ok_gen = False
-        if not all(verify_finite_inverse_sum(params, n) for n in range(0, 16)):
+        if not all(finite_inverse_sum_mismatch(params, n) is None for n in range(0, 16)):
             ok_finite = False
-        if not verify_infinite_inverse_sum(params, 30):
+        if first_infinite_mismatch(params, 30) is not None:
             ok_infinite = False
-        if not all(verify_partial_sum(params, n) for n in range(1, 51)):
+        if not all(
+            lucas_partial_sum(params, n)
+            == sum(islice(lucas_matrix_rec_iter(params), n), Mat2.zero())
+            for n in range(1, 51)
+        ):
             ok_partial = False
     report_line("criterion 3i: generating function, 40 coefficients", ok_gen)
     report_line("criterion 3ii: truncated inverse-power identity, n = 0..15", ok_finite)

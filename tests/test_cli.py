@@ -132,6 +132,14 @@ class TestRationalArguments:
         assert info.value.code == 2
         assert "not a rational 'p/q' or integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--a", "--n", "--format"])
+    def test_double_dash_value_exits_2(self, capsys, flag):
+        argv = ["term", "--kind", "fib", "--a", "1", "--b", "1", "--n", "1", f"{flag}=--"]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "'--'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, value", [("-3/2", "-3/2"), ("5/3", "5/3"), ("35", "35"), ("-4/6", "-2/3")]
     )

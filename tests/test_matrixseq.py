@@ -6,7 +6,7 @@ import pytest
 from biperiodic.exact import IrrationalResidue, Mat2, rational_sqrt
 from biperiodic.matrixseq import (
     _binet,
-    cassini_lucas,
+    cassini_lucas_sides,
     fib_matrix_binet,
     fib_matrix_closed,
     fib_matrix_rec,
@@ -216,12 +216,14 @@ class TestDeterminantAndCassini:
             assert lucas_matrix_closed(p, n).det() == lucas_det(p, n), (p, n)
 
     def test_cassini_examples(self):
-        assert cassini_lucas(SeqParams(1, 1), 2)  # 4*1 - 9 = -5 = 5*(-1)^3
-        assert cassini_lucas(SeqParams(2, 1), 1)  # 8 - 2 = 6 = 6*(+1)^2
+        assert cassini_lucas_sides(SeqParams(1, 1), 2) == (-5, -5)  # 4*1 - 9 = 5*(-1)^3
+        assert cassini_lucas_sides(SeqParams(2, 1), 1) == (6, 6)  # 8 - 2 = 6*(+1)^2
 
     @pytest.mark.parametrize("p", SAMPLE, ids=str)
     def test_cassini_range(self, p):
-        assert all(cassini_lucas(p, n) for n in range(1, 31))
+        for n in range(1, 31):
+            lhs, rhs = cassini_lucas_sides(p, n)
+            assert lhs == rhs, (p, n)
 
 
 class TestEntryConsistency:

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from biperiodic.identities import default_grid
 from biperiodic.sequences import (
     SeqParams,
-    check_fib_from_lucas,
-    check_lucas_from_fib,
     eps,
+    fib_from_lucas_sides,
     floor_half,
     l,
     l_direct,
+    lucas_from_fib_sides,
     q,
     q_direct,
 )
@@ -127,22 +127,27 @@ class TestScalarKernels:
         assert l(p, n) == cl * l(p, n - 1) + l(p, n - 2)
 
 
+def _sides_equal(sides) -> bool:
+    lhs, rhs = sides
+    return lhs == rhs
+
+
 class TestCrossRelations:
     def test_spec_examples(self):
         p21 = SeqParams(2, 1)
-        assert check_lucas_from_fib(p21, 2)
-        assert check_fib_from_lucas(p21, 2)
-        assert check_lucas_from_fib(p21, 0)
-        assert check_fib_from_lucas(SeqParams(3, F(1, 3)), 0)
+        assert _sides_equal(lucas_from_fib_sides(p21, 2))
+        assert _sides_equal(fib_from_lucas_sides(p21, 2))
+        assert _sides_equal(lucas_from_fib_sides(p21, 0))
+        assert _sides_equal(fib_from_lucas_sides(SeqParams(3, F(1, 3)), 0))
         p11 = SeqParams(1, 1)
-        assert check_lucas_from_fib(p11, 5)
-        assert check_fib_from_lucas(p11, 3)
+        assert _sides_equal(lucas_from_fib_sides(p11, 5))
+        assert _sides_equal(fib_from_lucas_sides(p11, 3))
 
     def test_full_grid_window(self):
         for p in default_grid():
             for n in range(-20, 51):
-                assert check_lucas_from_fib(p, n), (p, n)
-                assert check_fib_from_lucas(p, n), (p, n)
+                assert _sides_equal(lucas_from_fib_sides(p, n)), (p, n)
+                assert _sides_equal(fib_from_lucas_sides(p, n)), (p, n)
 
 
 def test_concurrent_memo_fills_are_consistent():

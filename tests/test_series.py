@@ -9,19 +9,15 @@ from biperiodic.exact import Mat2
 from biperiodic.matrixseq import lucas_matrix_closed, lucas_matrix_rec_iter
 from biperiodic.sequences import SeqParams
 from biperiodic.series import (
-    LaurentPoly,
-    TruncatedSeries,
+    direct_partial_sums,
     expand_rational,
     finite_inverse_sum_mismatch,
+    finite_inverse_sum_sides,
     first_generating_mismatch,
     first_infinite_mismatch,
     infinite_inverse_sum_series,
     lucas_generating_series,
     lucas_partial_sum,
-    verify_finite_inverse_sum,
-    verify_generating_function,
-    verify_infinite_inverse_sum,
-    verify_partial_sum,
 )
 
 SAMPLE = [
@@ -46,32 +42,25 @@ NEGATIVE_CONTROL_DIGESTS = [
 
 class TestTruncatedSeries:
     def test_geometric_series(self):
-        ones = expand_rational([F(1)], [F(1), F(-1)], 8)
-        assert list(ones.coeffs) == [1] * 8
+        assert expand_rational([F(1)], [F(1), F(-1)], 8) == (1,) * 8
+
+    def test_numerator_padded_with_zero(self):
+        # x / (1 - x - x^2): the Fibonacci numbers, over a one-term numerator
+        fib = expand_rational([F(0), F(1)], [1, -1, -1], 10)
+        assert fib == (0, 1, 1, 2, 3, 5, 8, 13, 21, 34)
+
+    def test_matrix_coefficients(self):
+        swap = Mat2(0, 1, 1, 0)
+        series = expand_rational([swap], [F(1), F(-2)], 4, Mat2.zero())
+        assert series == tuple(2**k * swap for k in range(4))
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            TruncatedSeries([F(1)], 0)
+            expand_rational([F(1)], [F(1)], 0)
 
-
-class TestLaurentPoly:
-    def test_zero_coefficients_dropped(self):
-        p = LaurentPoly({3: F(0), -2: F(5)})
-        assert p.support() == [-2]
-
-    def test_add_and_cancel(self):
-        p = LaurentPoly({1: F(2)})
-        assert not (p - p)
-
-    def test_mul_with_negative_exponents(self):
-        p = LaurentPoly({-1: F(1), 2: F(3)})
-        sq = p * p
-        assert sq == LaurentPoly({-2: F(1), 1: F(6), 4: F(9)})
-
-    def test_matrix_valued(self):
-        p = LaurentPoly({0: Mat2.identity()})
-        q = LaurentPoly({-2: Mat2(0, 1, 1, 0)})
-        assert (p * q).coefficient(-2) == Mat2(0, 1, 1, 0)
+    def test_constant_term_must_be_invertible(self):
+        with pytest.raises(ZeroDivisionError):
+            expand_rational([F(1)], [F(0), F(1)], 3)
 
 
 class TestGeneratingFunction:
@@ -79,20 +68,21 @@ class TestGeneratingFunction:
         for p in SAMPLE:
             series = lucas_generating_series(p, 2)
             rec = lucas_matrix_rec_iter(p)
-            assert series.coefficient(0) == next(rec)
-            assert series.coefficient(1) == next(rec)
+            assert len(series) == 2
+            assert series[0] == next(rec)
+            assert series[1] == next(rec)
 
     def test_classical_coefficient_four(self):
         series = lucas_generating_series(SeqParams(1, 1), 6)
-        assert series.coefficient(4) == Mat2(11, 7, 7, 4)
+        assert series[4] == Mat2(11, 7, 7, 4)
 
     def test_verify_small_orders(self):
         for p in SAMPLE:
-            assert verify_generating_function(p, 2)
+            assert first_generating_mismatch(p, 2) is None
 
     def test_verify_order_30(self):
-        assert verify_generating_function(SeqParams(1, 1), 30)
-        assert verify_generating_function(SeqParams(3, -1), 30)
+        assert first_generating_mismatch(SeqParams(1, 1), 30) is None
+        assert first_generating_mismatch(SeqParams(3, -1), 30) is None
 
     def test_mismatch_reports_none_when_ok(self):
         assert first_generating_mismatch(SeqParams(2, 3), 25) is None
@@ -102,11 +92,18 @@ class TestFiniteInverseSum:
     @pytest.mark.parametrize("p", SAMPLE, ids=str)
     def test_holds_from_zero(self, p):
         for n in range(0, 12):
-            assert verify_finite_inverse_sum(p, n), (p, n)
+            assert finite_inverse_sum_mismatch(p, n) is None, (p, n)
 
     def test_spec_style_cases(self):
-        assert verify_finite_inverse_sum(SeqParams(1, 1), 7)
-        assert verify_finite_inverse_sum(SeqParams(F(1, 2), 4), 10)
+        assert finite_inverse_sum_mismatch(SeqParams(1, 1), 7) is None
+        assert finite_inverse_sum_mismatch(SeqParams(F(1, 2), 4), 10) is None
+
+    @pytest.mark.parametrize("p", SAMPLE + [SeqParams(1, -2)], ids=str)
+    def test_sides_hold_no_zero_coefficients(self, p):
+        # ab = -2 zeroes the quartic's middle coefficient
+        for n in range(0, 6):
+            for side in finite_inverse_sum_sides(p, n):
+                assert all(side.values()), (p, n)
 
     @pytest.mark.parametrize("p", SAMPLE, ids=str)
     def test_negative_control_fails_everywhere(self, p):
@@ -125,18 +122,18 @@ class TestFiniteInverseSum:
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
-            verify_finite_inverse_sum(SeqParams(1, 1), -1)
+            finite_inverse_sum_mismatch(SeqParams(1, 1), -1)
 
 
 class TestInfiniteInverseSum:
     def test_coefficient_zero_is_seed(self):
         for p in SAMPLE:
             series = infinite_inverse_sum_series(p, 1)
-            assert series.coefficient(0) == next(lucas_matrix_rec_iter(p))
+            assert series == (next(lucas_matrix_rec_iter(p)),)
 
     def test_order_20(self):
-        assert verify_infinite_inverse_sum(SeqParams(1, 1), 20)
-        assert verify_infinite_inverse_sum(SeqParams(2, 3), 20)
+        assert first_infinite_mismatch(SeqParams(1, 1), 20) is None
+        assert first_infinite_mismatch(SeqParams(2, 3), 20) is None
 
     @pytest.mark.parametrize("p", SAMPLE, ids=str)
     def test_negative_control_first_mismatch_at_two(self, p):
@@ -160,8 +157,15 @@ class TestPartialSum:
 
     @pytest.mark.parametrize("p", SAMPLE, ids=str)
     def test_formula_matches_direct_sum(self, p):
-        for n in range(1, 51):
-            assert verify_partial_sum(p, n), (p, n)
+        sums = islice(direct_partial_sums(p), 1, 51)
+        for n, direct in enumerate(sums, start=1):
+            assert lucas_partial_sum(p, n) == direct, (p, n)
+
+    @pytest.mark.parametrize("p", SAMPLE, ids=str)
+    def test_lucas_provider_gives_the_same_result(self, p):
+        lucas = cache(lambda k: lucas_matrix_closed(p, k))
+        for n in range(1, 13):
+            assert lucas_partial_sum(p, n, lucas) == lucas_partial_sum(p, n), (p, n)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
