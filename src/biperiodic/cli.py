@@ -17,6 +17,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 
 from .exact import Mat2, parse_rational
 from .identities import default_grid, run_full_suite, run_series_suite
@@ -260,8 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses for every call in a process; parsing
+    leaves no state in it, and building one costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     # argparse before 3.13 turns "--opt=--" into an empty list, unconverted
     if [] in vars(args).values():

@@ -11,10 +11,11 @@ list is still a well-formed result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
+from typing import NamedTuple
 
 from .exact import Mat2, parse_rational
 from .matrixseq import (
@@ -59,8 +60,16 @@ class ReportFormatError(ValueError):
     well-formed suite report (missing key, wrong type, unparsable value)."""
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
+    """One checked relation: both sides at the given indices for ``params``,
+    and whether they are equal.
+
+    An immutable named tuple: fields by name or position, in this order,
+    built positionally or by keyword; assigning a field raises
+    AttributeError, and ``_replace`` makes a changed copy. A run makes one
+    per check, so the record is kept as cheap to build as a tuple.
+    """
+
     name: str
     index_args: tuple[int, ...]
     params: SeqParams
@@ -153,7 +162,7 @@ class SuiteReport:
         self.checks_run += 1
         if check.holds:
             self.failures.append(
-                replace(check, name=f"{check.name}.unexpectedly-true", holds=False)
+                check._replace(name=f"{check.name}.unexpectedly-true", holds=False)
             )
         else:
             self.expected_failures.append(ExpectedFailure(check, reason))

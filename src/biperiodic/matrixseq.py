@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
-from .exact import Mat2
+from .exact import Mat2, _from_form
 from .sequences import BinetDegenerate, SeqParams, eps, floor_half, l, l_walk, q, q_walk
 
 
@@ -67,16 +68,35 @@ def lucas_matrix_rec_iter(params: SeqParams):
     return l_walk(params, *_lucas_seed(params))
 
 
+def _closed(ratio: Fraction, e: int, x: Fraction, y: Fraction, z: Fraction, top: bool) -> Mat2:
+    """[[w x, k y], [y, w z]] if ``top``, else [[w x, y], [k y, w z]], with
+    k = ``ratio`` and w = k^e (e in {0, 1}), built straight into the
+    canonical integer form: the entries over lcm(denominators) * den(k),
+    reduced by one gcd. Its Fractions are built only when read."""
+    kn, kd = ratio.numerator, ratio.denominator
+    xd, yd, zd = x.denominator, y.denominator, z.denominator
+    den = lcm(xd, yd, zd)
+    nx = x.numerator * (den // xd)
+    ny = y.numerator * (den // yd)
+    nz = z.numerator * (den // zd)
+    wn = kn if e else kd  # w * den(k)
+    n11, n22, ky, y1 = wn * nx, wn * nz, kn * ny, kd * ny
+    n12, n21 = (ky, y1) if top else (y1, ky)
+    d = den * kd
+    g = gcd(d, n11, n12, n21, n22)
+    if g == 1:
+        return _from_form((n11, n12, n21, n22, d))
+    return _from_form((n11 // g, n12 // g, n21 // g, n22 // g, d // g))
+
+
 def fib_matrix_closed(params: SeqParams, n: int) -> Mat2:
-    ba = params.b_over_a
-    w = ba ** eps(n)
-    return Mat2(w * q(params, n + 1), ba * q(params, n), q(params, n), w * q(params, n - 1))
+    return _closed(params.b_over_a, eps(n),
+                   q(params, n + 1), q(params, n), q(params, n - 1), top=True)
 
 
 def lucas_matrix_closed(params: SeqParams, n: int) -> Mat2:
-    ab = params.a_over_b
-    w = ab ** eps(n)
-    return Mat2(w * l(params, n + 1), l(params, n), ab * l(params, n), w * l(params, n - 1))
+    return _closed(params.a_over_b, eps(n),
+                   l(params, n + 1), l(params, n), l(params, n - 1), top=False)
 
 
 def _require_binet(params: SeqParams, n: int) -> None:
@@ -92,10 +112,12 @@ def _binet(params: SeqParams, m1: Mat2, c1, m0: Mat2, c0, power: int, scale: Fra
         s = (c(alpha) alpha^power - c(beta) beta^power) / (scale (alpha - beta)).
 
     Each s is evaluated in Q(sqrt(D)) and must come back rational; a
-    mistranscribed coefficient raises IrrationalResidue instead.
+    mistranscribed coefficient raises IrrationalResidue instead. alpha^power
+    comes from :meth:`.SeqParams.alpha_power`, one product when the last call
+    on ``params`` used power - 1.
     """
     alpha, beta = params.alpha, params.beta
-    alpha_p = alpha**power
+    alpha_p = params.alpha_power(power)
     beta_p = alpha_p.conj()  # beta is the conjugate of alpha in Q(sqrt(D))
     den = scale * (alpha - beta)
 

@@ -78,13 +78,15 @@ class SeqParams:
 
     Carries ab, the ratios b/a and a/b, the discriminant D = ab(ab+4), the
     quadratic roots alpha = (ab + sqrt(D))/2 and beta = (ab - sqrt(D))/2 of
-    x^2 - ab x - ab = 0, and per-instance memo tables for q and l (plain
-    lists, so instances pickle and copy). Instances are immutable apart from
-    the internal memo growth.
+    x^2 - ab x - ab = 0, and per-instance memos as plain data, so instances
+    pickle and copy: the q and l tables, the powers (b/a)^e that
+    :meth:`ratio_times` has used, and the last power of alpha that the Binet
+    route made, as (p, alpha^p). Instances are immutable apart from the
+    internal memo growth.
     """
 
     __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b", "disc", "alpha", "beta",
-                 "binet_allowed", "_q", "_l")
+                 "binet_allowed", "_q", "_l", "_ratio_powers", "_alpha_power")
 
     def __init__(self, a: RationalLike, b: RationalLike):
         a = Fraction(a)
@@ -107,14 +109,28 @@ class SeqParams:
         # the one statement of which coefficient goes with which parity
         self._q = _table(Fraction(0), Fraction(1), even=a, odd=b)
         self._l = _table(Fraction(2), a, even=b, odd=a)
+        self._ratio_powers = {}
+        self._alpha_power = (None, None)
 
     def ratio_times(self, e: int, x):
-        """(b/a)^e * x for any integer e: x itself when e = 0, and one
-        product by the stored b/a or a/b when e = +-1."""
+        """(b/a)^e * x for any integer e: x itself when e = 0, else one
+        product ``x * r`` with r = (b/a)^e made once per e and kept."""
         if e == 0:
             return x
-        ratio = self.b_over_a if e > 0 else self.a_over_b
-        return (ratio if e in (1, -1) else ratio ** abs(e)) * x
+        r = self._ratio_powers.get(e)
+        if r is None:
+            r = self._ratio_powers[e] = self.b_over_a ** e
+        return x * r
+
+    def alpha_power(self, p: int) -> QuadElement:
+        """alpha^p: the stored power if p is its exponent, one product from it
+        if p is the next exponent (a walk over p in order), else by
+        square-and-multiply. The result replaces the stored power."""
+        k, value = self._alpha_power
+        if k != p:
+            value = value * self.alpha if k == p - 1 else self.alpha**p
+            self._alpha_power = (p, value)
+        return value
 
     def __repr__(self) -> str:
         return f"SeqParams(a={self.a}, b={self.b})"

@@ -86,6 +86,26 @@ class TestTerm:
         assert exc.value.code == 2
         assert "invalid int value" in capsys.readouterr().err
 
+    def test_failed_calls_leave_the_reused_parser_intact(self, capsys):
+        # main() keeps one parser per process: a rejected call must not
+        # change what the next call parses or prints
+        assert cli._parser() is cli._parser()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["term", "--kind", "fib", "--a", "0.5", "--b", "1", "--n", "3"])
+        assert exc.value.code == 2
+        assert "not a rational" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, "table", "--kind", "fib", "--a", "1", "--b", "1",
+                               "--n", "5", "--n-max", "2")
+        assert code == 2 and "--n-max must be >= --n" in err
+        code, out, err = run_cli(capsys, "term", "--kind", "fib-matrix", "--a", "2",
+                                 "--b", "3", "--n", "-1", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [["0", "3/2"], ["1", "-3"]]
+        code, out, _ = run_cli(capsys, "table", "--kind", "fib", "--a", "1", "--b", "1",
+                               "--n", "0", "--n-max", "3")
+        assert code == 0
+        assert out == "index,value\n0,0\n1,1\n2,1\n3,2\n"
+
     def test_binet_source_on_degenerate_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "term", "--kind", "lucas-matrix", "--a", "2", "--b=-2",

@@ -295,3 +295,44 @@ class TestReportSerialization:
         assert doc["lhs"] == [["1", "1/2"], ["0", "-1"]]
         assert doc["rhs"] == "5/3"
         assert doc["indices"] == [1, 2]
+
+
+class TestIdentityCheckRecord:
+    FIELDS = ("name", "index_args", "params", "lhs", "rhs", "holds")
+
+    def make(self):
+        return identities.IdentityCheck(
+            "demo", (1, 2), SeqParams(F(1, 2), 3), Mat2(1, F(1, 2), 0, -1), F(5, 3), False
+        )
+
+    def test_positional_construction_and_field_order(self):
+        check = self.make()
+        assert check._fields == self.FIELDS
+        assert tuple(getattr(check, f) for f in self.FIELDS) == tuple(check)
+        assert check == identities.IdentityCheck(**dict(zip(self.FIELDS, check)))
+        assert (check.name, check.index_args, check.holds) == ("demo", (1, 2), False)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_assignment_raises(self, field):
+        check = self.make()
+        with pytest.raises(AttributeError):
+            setattr(check, field, None)
+        with pytest.raises(AttributeError):
+            check.extra = 1
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        check = self.make()
+        for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+            back = copy_of(check)
+            assert type(back) is identities.IdentityCheck
+            assert back == check
+            assert back.lhs is not check.lhs
+
+    def test_unexpectedly_true_rename_leaves_the_control_unchanged(self):
+        check = identities.IdentityCheck("ctl", (4,), SeqParams(2, 3), F(1), F(1), True)
+        report = SuiteReport("demo")
+        report.negative_control(check, "false by construction")
+        (failure,) = report.failures
+        assert type(failure) is identities.IdentityCheck
+        assert failure == check._replace(name="ctl.unexpectedly-true", holds=False)
+        assert (check.name, check.holds) == ("ctl", True)

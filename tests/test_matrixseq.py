@@ -226,6 +226,32 @@ class TestDeterminantAndCassini:
             assert lhs == rhs, (p, n)
 
 
+# pairs with ab = -4, with D = ab(ab + 4) < 0 and with D a square, and a plain one
+CLOSED_PAIRS = [
+    SeqParams(2, -2),  # ab = -4
+    SeqParams(F(-1, 2), 8),  # ab = -4
+    SeqParams(F(1, 2), F(-3, 5)),  # D = -111/100
+    SeqParams(-3, F(1, 3)),  # D = -3
+    SeqParams(F(5, 3), F(-7, 4)),  # D = -455/144
+    SeqParams(F(-3, 2), F(-3, 2)),  # D = 225/16
+    SeqParams(F(1, 2), 1),  # D = 9/4
+    SeqParams(2, 3),  # D = 60
+]
+
+
+@pytest.mark.parametrize("p", CLOSED_PAIRS, ids=str)
+def test_closed_forms_equal_fraction_built_matrices(p):
+    for n in range(-40, 41):
+        w = (p.b / p.a) ** eps(n)
+        fib = Mat2(w * q(p, n + 1), (p.b / p.a) * q(p, n), q(p, n), w * q(p, n - 1))
+        w = (p.a / p.b) ** eps(n)
+        lucas = Mat2(w * l(p, n + 1), l(p, n), (p.a / p.b) * l(p, n), w * l(p, n - 1))
+        for got, want in ((fib_matrix_closed(p, n), fib), (lucas_matrix_closed(p, n), lucas)):
+            assert got == want, (p, n)
+            assert got.entries() == want.entries(), (p, n)
+            assert got._form == want._form, (p, n)
+
+
 class TestEntryConsistency:
     @pytest.mark.parametrize("p", SAMPLE, ids=str)
     def test_l_entries(self, p):

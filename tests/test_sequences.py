@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from biperiodic.exact import Mat2
 from biperiodic.identities import default_grid
 from biperiodic.sequences import (
     SeqParams,
@@ -48,6 +49,23 @@ class TestSeqParams:
         assert not SeqParams(2, -2).binet_allowed
         assert not SeqParams(F(-1, 2), 8).binet_allowed
         assert SeqParams(1, 1).binet_allowed
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (F(-3, 2), F(5, 3)), (F(1, 2), -4)])
+    def test_ratio_times_matches_power_product(self, a, b):
+        p = SeqParams(a, b)
+        values = (Mat2(F(1, 2), -3, F(2, 9), 5), F(-7, 4), F(0))
+        for _ in range(2):  # the second round reads the stored powers
+            for e in range(-7, 8):
+                for x in values:
+                    got = p.ratio_times(e, x)
+                    assert type(got) is type(x)
+                    assert got == (F(b) / F(a)) ** e * x, (e, x)
+
+    @pytest.mark.parametrize("order", [range(0, 20), range(19, -1, -1), (5, 5, 4, 9, 10, 0, 1)])
+    def test_alpha_power_matches_square_and_multiply(self, order):
+        p = SeqParams(F(1, 2), F(5, 3))
+        for k in order:
+            assert p.alpha_power(k) == p.alpha**k, k
 
 
 class TestParityHelpers:
@@ -175,6 +193,38 @@ def test_concurrent_memo_fills_are_consistent():
                 t.join()
             for n, values in expected.items():
                 assert (q(p, n), l(p, n)) == values, (round_no, n)
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_concurrent_ratio_and_alpha_power_reads_are_exact():
+    # eight threads share one instance's stored (b/a)^e and alpha^p, walking
+    # the exponents in opposite orders; every read must be the exact power
+    a, b = F(2, 3), F(-5)
+    ratios = {e: (b / a) ** e for e in range(-9, 10)}
+    powers = [SeqParams(a, b).alpha ** k for k in range(30)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(10):
+            p = SeqParams(a, b)
+            start = threading.Barrier(8)
+            wrong = []
+
+            def read(thread_no, p=p, start=start, wrong=wrong):
+                start.wait()
+                for k in range(30) if thread_no % 2 else range(29, -1, -1):
+                    e = k % 19 - 9
+                    if p.alpha_power(k) != powers[k] or p.ratio_times(e, F(1)) != ratios[e]:
+                        wrong.append((thread_no, k))
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), round_no
+            assert not wrong, (round_no, wrong)
     finally:
         sys.setswitchinterval(old_interval)
 
