@@ -17,10 +17,10 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 from .exact import Mat2, parse_rational
-from .identities import default_grid, run_full_suite, run_series_suite
+from .identities import default_grid, pair_providers, run_full_suite, run_series_suite
 from .matrixseq import (
     fib_matrix_binet,
     fib_matrix_closed,
@@ -198,9 +198,14 @@ def cmd_verify(args) -> int:
         raise CliError("--n-max must be >= 0")
     if args.order < 1:
         raise CliError("order must be >= 1")
-    grid = _resolve_grid(args)
-    report = run_full_suite(grid, args.n_max)
-    report = report.merged_with(run_series_suite(grid, args.n_max, args.order), suite="full")
+    # pair by pair, so both suites read one cached k -> L_k and the pair's
+    # matrices are freed before the next pair
+    full, series = [], []
+    for params in _resolve_grid(args):
+        providers = cache(pair_providers)
+        full.append(run_full_suite([params], args.n_max, providers=providers))
+        series.append(run_series_suite([params], args.n_max, args.order, providers=providers))
+    report = reduce(lambda x, y: x.merged_with(y, suite="full"), full + series)
     doc = report.to_json_dict()
     if args.timestamps:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()

@@ -220,9 +220,10 @@ class SuiteReport:
         return report
 
 
-def _providers(params, fib=None, lucas=None):
+def pair_providers(params, fib=None, lucas=None):
     """k -> F_k and k -> L_k: the given ones, else the closed form, each
-    index computed once."""
+    index computed once. The suite runners take it as their ``providers``;
+    a cached copy shared by two runs builds each matrix once."""
     if fib is None:
         fib = cache(lambda k: fib_matrix_closed(params, k))
     if lucas is None:
@@ -250,7 +251,7 @@ def thm6_suite(params: SeqParams, n: int, fib=None, lucas=None) -> list[Identity
     control). n may be 0 or negative: index n-1 falls back to the closed
     form's backward extension.
     """
-    fib, lucas = _providers(params, fib, lucas)
+    fib, lucas = pair_providers(params, fib, lucas)
     by = params.ratio_times
     e, e1 = eps(n), eps(n + 1)
     l0_fn = lucas(0) * fib(n)
@@ -275,7 +276,7 @@ def thm6_iii_variant(params: SeqParams, n: int, fib=None, lucas=None) -> Identit
     returns -eps(n) uniquely); coincides with the true form when the ratio
     b/a is +-1.
     """
-    fib, lucas = _providers(params, fib, lucas)
+    fib, lucas = pair_providers(params, fib, lucas)
     return _mk(
         "thm6.iii.negctl", (n,), params,
         fib(1) * lucas(n), params.ratio_times(eps(n), fib(n + 2) + fib(n)),
@@ -284,7 +285,7 @@ def thm6_iii_variant(params: SeqParams, n: int, fib=None, lucas=None) -> Identit
 
 def thm7_suite(params: SeqParams, m: int, n: int, fib=None, lucas=None) -> list[IdentityCheck]:
     """Addition-law identities F_m F_n, F_m L_n, L_m L_n (comm + closed)."""
-    fib, lucas = _providers(params, fib, lucas)
+    fib, lucas = pair_providers(params, fib, lucas)
     by = params.ratio_times
     fm_fn = fib(m) * fib(n)
     fm_ln = fib(m) * lucas(n)
@@ -340,7 +341,7 @@ def thm8_suite(params: SeqParams, m: int, n: int, r: int, fib=None, lucas=None) 
     the empty-product convention: any matrix to the 0th power is I)."""
     if m < 0 or r < 0 or n < r:
         raise ValueError("need m >= 0 and n >= r >= 0")
-    fib, lucas = _providers(params, fib, lucas)
+    fib, lucas = pair_providers(params, fib, lucas)
     power = lambda term, k, e: term(k) ** e
     return _thm8_power_checks(params, m, n, fib, lucas, power) + _thm8_spread_checks(
         params, n, r, fib, lucas, power
@@ -382,20 +383,22 @@ def _cross_checks(report: SuiteReport, params: SeqParams, max_index: int, fib, l
         report.skipped.append(SkipRecord("triple.lucas.binet-closed", why))
 
 
-def run_full_suite(grid, max_index: int, suite: str = "identities") -> SuiteReport:
+def run_full_suite(grid, max_index: int, suite: str = "identities",
+                   providers=pair_providers) -> SuiteReport:
     """Run the sequence/matrix cross-checks and the full identity suite over
     every grid pair for all indices up to max_index.
 
     Returns counts plus the failing records only; degenerate (ab = -4)
     pairs skip the Binet comparisons with an annotated reason and run
-    everything else.
+    everything else. ``providers(params)`` gives each pair's k -> F_k and
+    k -> L_k.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     report = SuiteReport(suite=suite, params=list(grid))
     indices = range(0, max_index + 1)
     for params in report.params:
-        fib, lucas = _providers(params)
+        fib, lucas = providers(params)
         _cross_checks(report, params, max_index, fib, lucas)
         for n in indices:
             report.tally(*thm6_suite(params, n, fib, lucas))
@@ -426,13 +429,13 @@ _NEGCTL_REASON = (
 )
 
 
-def _coefficient_check(name, params, order, first_mismatch, expand, **kw) -> IdentityCheck:
-    """The series ``expand`` against L_k at its first mismatch k, if any."""
+def _coefficient_check(name, params, order, lucas, first_mismatch, expand, **kw) -> IdentityCheck:
+    """The series ``expand`` against ``lucas(k)`` at its first mismatch k, if any."""
     k = first_mismatch(params, order, **kw)
     if k is None:
         return IdentityCheck(name, (order,), params, None, None, True)
     got = expand(params, order, **kw)[k]
-    return IdentityCheck(name, (order, k), params, got, lucas_matrix_closed(params, k), False)
+    return IdentityCheck(name, (order, k), params, got, lucas(k), False)
 
 
 def _finite_inverse_sum_check(name, params, n, lucas, negative_control=False) -> IdentityCheck:
@@ -443,21 +446,25 @@ def _finite_inverse_sum_check(name, params, n, lucas, negative_control=False) ->
     return IdentityCheck(name, (n, exponent), params, lhs, rhs, False)
 
 
-def run_series_suite(grid, max_index: int, order: int) -> SuiteReport:
+def run_series_suite(grid, max_index: int, order: int,
+                     providers=pair_providers) -> SuiteReport:
     """Check the series facts of the Lucas matrix sequence for every grid
     pair: the generating function and the full inverse-power sum to
     ``order`` coefficients, the truncated inverse-power sum and the closed
-    partial sum for n up to max_index, and two negative controls."""
+    partial sum for n up to max_index, and two negative controls.
+    ``providers(params)`` gives each pair's k -> L_k (second item)."""
     report = SuiteReport(suite="series", params=list(grid))
     for params in report.params:
-        _, lucas = _providers(params)
+        _, lucas = providers(params)
         report.tally(_coefficient_check(
-            "genfunc.coeffs", params, order, first_generating_mismatch, lucas_generating_series
+            "genfunc.coeffs", params, order, lucas, first_generating_mismatch,
+            lucas_generating_series,
         ))
         for n in range(0, max_index + 1):
             report.tally(_finite_inverse_sum_check("invsum.finite", params, n, lucas))
         report.tally(_coefficient_check(
-            "invsum.infinite", params, order, first_infinite_mismatch, infinite_inverse_sum_series
+            "invsum.infinite", params, order, lucas, first_infinite_mismatch,
+            infinite_inverse_sum_series,
         ))
         sums = islice(direct_partial_sums(params), 1, max_index + 1)
         for n, direct in enumerate(sums, start=1):
@@ -468,7 +475,7 @@ def run_series_suite(grid, max_index: int, order: int) -> SuiteReport:
         )
         report.negative_control(
             _coefficient_check(
-                "invsum.infinite.negctl", params, 8, first_infinite_mismatch,
+                "invsum.infinite.negctl", params, 8, lucas, first_infinite_mismatch,
                 infinite_inverse_sum_series, negative_control=True,
             ),
             _NEGCTL_REASON,

@@ -2,8 +2,11 @@
 
 Each sequence is computed three independent ways:
 
-* recurrence from the initial matrices (n >= 0): F_n walks with q's step
-  coefficients and L_n with l's (:func:`.sequences.alternating_walk`),
+* recurrence from the initial matrices (n >= 0): F_n steps with q's
+  coefficients and L_n with l's. A single term, ``*_rec(p, n)``, applies the
+  two-step transfer-matrix power to the seeds in O(log n) products;
+  ``*_rec_iter(p)`` walks the recurrence one step per term
+  (:func:`.sequences.alternating_walk`),
 * entrywise closed form built from the scalar kernels (any integer n),
 * Binet form (n >= 0, requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
   likewise from L_0, L_1), where each coefficient s is a combination of
@@ -22,7 +25,6 @@ The three routes must agree exactly; the closed form is
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 
 from .exact import Mat2, _from_form
@@ -42,20 +44,33 @@ def _lucas_seed(params: SeqParams) -> tuple[Mat2, Mat2]:
     return l0, l1
 
 
-def _term(terms, n: int) -> Mat2:
+def _transfer(v0: Mat2, v1: Mat2, even: Fraction, odd: Fraction, n: int) -> Mat2:
+    """v_n of v_k = c_k v_{k-1} + v_{k-2} (c_k = ``even`` or ``odd`` by the
+    parity of k) as t11 v_1 + t12 v_0, where T = S_n ... S_2 with
+    S_k = [[c_k, 1], [1, 0]]. Paired from the right, T is
+    (S_odd S_even)^floor((n-1)/2), times one more S_even on the left when n
+    is even: O(log n) products instead of n steps. T's top row is read in
+    its integer form, so no Fraction of T is built."""
     if n < 0:
         raise ValueError("the recurrence route needs n >= 0; use the closed form")
-    return next(islice(terms, n, None))
+    if n == 0:
+        return v0
+    s_even = Mat2(even, 1, 1, 0)
+    t = (Mat2(odd, 1, 1, 0) * s_even) ** ((n - 1) // 2)
+    if not n & 1:
+        t = s_even * t
+    t11, t12, _, _, d = t._form
+    return (t11 * v1 + t12 * v0) / d
 
 
 def fib_matrix_rec(params: SeqParams, n: int) -> Mat2:
-    """F_n by recurrence, with q's step coefficients."""
-    return _term(q_walk(params, *_fib_seed(params)), n)
+    """F_n from F_0, F_1 and the transfer power of q's steps (a even, b odd)."""
+    return _transfer(*_fib_seed(params), params.a, params.b, n)
 
 
 def lucas_matrix_rec(params: SeqParams, n: int) -> Mat2:
-    """L_n by recurrence, with l's step coefficients."""
-    return _term(l_walk(params, *_lucas_seed(params)), n)
+    """L_n from L_0, L_1 and the transfer power of l's steps (b even, a odd)."""
+    return _transfer(*_lucas_seed(params), params.b, params.a, n)
 
 
 def fib_matrix_rec_iter(params: SeqParams):

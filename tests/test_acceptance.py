@@ -198,7 +198,7 @@ def test_criterion_7_cli_contract(capsys, monkeypatch):
     capsys.readouterr()
 
     # exit 1 needs a failing check; every true identity passes, so inject one
-    def fake_suite(grid, max_index, suite="identities"):
+    def fake_suite(grid, max_index, suite="identities", providers=None):
         rep = SuiteReport(suite=suite, params=list(grid))
         rep.tally(IdentityCheck("forced", (0,), grid[0], None, None, False))
         return rep

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from biperiodic import cli
+from biperiodic import cli, identities, series
 from biperiodic.identities import IdentityCheck, SuiteReport
 from biperiodic.sequences import SeqParams
 
@@ -328,9 +328,20 @@ class TestVerify:
         assert "generated_at" not in json.loads(plain)
         assert "generated_at" in json.loads(stamped)
 
+    def test_suites_build_each_lucas_term_once(self, capsys, monkeypatch):
+        # the identity and series suites share one k -> L_k per pair
+        built = []
+        for module in (identities, series):
+            closed = module.lucas_matrix_closed
+            monkeypatch.setattr(module, "lucas_matrix_closed",
+                                lambda p, k, closed=closed: built.append(k) or closed(p, k))
+        code, _, _ = run_cli(capsys, "verify", "--a=1/2", "--b=3", "--n-max", "12")
+        assert code == 0
+        assert sorted(built) == list(range(-12, 25))
+
     def test_exit_1_when_a_check_fails(self, capsys, monkeypatch):
         # no true identity ever fails, so force one through the suite runner
-        def fake_suite(grid, max_index, suite="identities"):
+        def fake_suite(grid, max_index, suite="identities", providers=None):
             report = SuiteReport(suite=suite, params=list(grid))
             report.tally(
                 IdentityCheck(

@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction as F
 from itertools import islice
 
 import pytest
 
 from biperiodic.exact import IrrationalResidue, Mat2, rational_sqrt
+from biperiodic.identities import default_grid
 from biperiodic.matrixseq import (
     _binet,
     cassini_lucas_sides,
@@ -269,3 +271,37 @@ class TestEntryConsistency:
             assert m.e21 == q(p, n)
             assert m.e12 == (p.b / p.a) * q(p, n)
 
+
+
+# every default-grid pair, one with ab = -4 and one with D < 0
+TRANSFER_PAIRS = [*default_grid(), SeqParams(2, -2), SeqParams(F(1, 2), F(-3, 5))]
+
+
+class TestTransferPower:
+    """``*_matrix_rec(p, n)`` is a transfer-matrix power; the walk
+    ``*_matrix_rec_iter(p)`` is the independent reference."""
+
+    @pytest.mark.parametrize("p", TRANSFER_PAIRS, ids=str)
+    def test_single_term_equals_walk(self, p):
+        # n = 0..64 covers both parities, the extra even step and n = 0, 1
+        for rec, walk in ((fib_matrix_rec, fib_matrix_rec_iter),
+                          (lucas_matrix_rec, lucas_matrix_rec_iter)):
+            for n, term in enumerate(islice(walk(p), 65)):
+                assert rec(p, n) == term, (p, rec.__name__, n)
+
+    @pytest.mark.parametrize("rec", [fib_matrix_rec, lucas_matrix_rec])
+    def test_negative_index_raises(self, rec):
+        with pytest.raises(ValueError, match="needs n >= 0; use the closed form"):
+            rec(SeqParams(2, 3), -1)
+
+    def test_deep_terms_equal_binet_within_budget(self):
+        p = SeqParams(F(1, 2), F(5, 3))
+        elapsed = 0.0
+        for rec, binet in ((fib_matrix_rec, fib_matrix_binet),
+                           (lucas_matrix_rec, lucas_matrix_binet)):
+            for n in (10**4, 10**4 + 1):
+                start = time.perf_counter()
+                value = rec(p, n)
+                elapsed += time.perf_counter() - start
+                assert value == binet(p, n), (rec.__name__, n)
+        assert elapsed < 2.0, f"four deep rec terms took {elapsed:.2f}s, budget 2s"
