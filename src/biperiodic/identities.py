@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -126,10 +126,19 @@ def _params_from_dict(d: dict) -> SeqParams:
     return SeqParams(parse_rational(d["a"]), parse_rational(d["b"]))
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind`` (so a bool is not an int),
+    else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _check_from_dict(d: dict, holds: bool) -> IdentityCheck:
     params = _params_from_dict(d["params"])
+    indices = tuple(_typed(i, int, "an index") for i in _typed(d["indices"], list, "indices"))
     return IdentityCheck(
-        d["name"], tuple(d["indices"]), params, parse_value(d["lhs"]),
+        _typed(d["name"], str, "a name"), indices, params, parse_value(d["lhs"]),
         parse_value(d["rhs"]), holds,
     )
 
@@ -154,7 +163,10 @@ class SuiteReport:
         self.failures.extend(c for c in checks if not c.holds)
 
     def record(self, name, idx, params, lhs, rhs) -> None:
-        self.tally(_mk(name, idx, params, lhs, rhs))
+        """Count one check; a record is built only if it fails."""
+        self.checks_run += 1
+        if lhs != rhs:
+            self.failures.append(IdentityCheck(name, tuple(idx), params, lhs, rhs, False))
 
     def negative_control(self, check: IdentityCheck, reason: str) -> None:
         """Count a check that must fail: failing, it is an expected failure;
@@ -199,25 +211,26 @@ class SuiteReport:
         Raises :class:`ReportFormatError` if ``d`` is not such a document.
         """
         try:
-            report = cls(
-                suite=d["suite"],
+            return cls(
+                suite=_typed(d["suite"], str, "'suite'"),
                 params=[_params_from_dict(p) for p in d["params"]],
-                checks_run=d["checks_run"],
+                checks_run=_typed(d["checks_run"], int, "'checks_run'"),
                 failures=[_check_from_dict(c, holds=False) for c in d["failures"]],
-                skipped=[SkipRecord(s["name"], s["reason"]) for s in d["skipped"]],
+                skipped=[
+                    SkipRecord(
+                        _typed(s["name"], str, "a name"), _typed(s["reason"], str, "a reason")
+                    )
+                    for s in d["skipped"]
+                ],
                 expected_failures=[
-                    ExpectedFailure(_check_from_dict(c, holds=False), c["reason"])
+                    ExpectedFailure(
+                        _check_from_dict(c, holds=False), _typed(c["reason"], str, "a reason")
+                    )
                     for c in d.get("expected_failures", [])
                 ],
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ReportFormatError(f"malformed suite report: {exc!r}") from exc
-        if not isinstance(report.suite, str) or type(report.checks_run) is not int:
-            raise ReportFormatError(
-                "malformed suite report: 'suite' must be a string and "
-                "'checks_run' an integer"
-            )
-        return report
 
 
 def pair_providers(params, fib=None, lucas=None):
@@ -231,40 +244,89 @@ def pair_providers(params, fib=None, lucas=None):
     return fib, lucas
 
 
-def _cached_power(powers: dict, term, k: int, m: int) -> Mat2:
-    """term(k) ** m, grown as term(k) ** (m-1) * term(k) and kept in
-    ``powers``, so a run over increasing m costs one multiply per step."""
-    if m < 2:
-        return term(k) if m else Mat2.identity()
-    value = powers.get((term, k, m))
-    if value is None:
-        value = powers[term, k, m] = _cached_power(powers, term, k, m - 1) * term(k)
-    return value
+class PairSides:
+    """The matrix sides one pair's checks share, each computed once.
+
+    ``fib`` and ``lucas`` are the pair's providers (see
+    :func:`pair_providers`) and ``fib_ab4`` maps k to (ab+4) F_k. For such
+    terms X and Y the store keeps the products X_i Y_j, the powers X_k^m and
+    the scaled sides (b/a)^e X_k^m. So a commutation check reads the product
+    its closed form already made, and a closed-form side is made once per
+    (e, k), not once per index pair. It grows with the checks that read it:
+    build one per pair and drop it with the pair.
+    """
+
+    __slots__ = ("params", "fib", "lucas", "fib_ab4", "_products", "_powers", "_scaled")
+
+    def __init__(self, params: SeqParams, fib=None, lucas=None):
+        fib, lucas = pair_providers(params, fib, lucas)
+        self.params, self.fib, self.lucas = params, fib, lucas
+        ab4 = params.ab + 4
+        self.fib_ab4 = cache(lambda k: ab4 * fib(k))
+        self._products = {}
+        self._powers = {}
+        self._scaled = {}
+
+    def product(self, x, i: int, y, j: int) -> Mat2:
+        """x(i) * y(j)."""
+        value = self._products.get((x, i, y, j))
+        if value is None:
+            value = self._products[x, i, y, j] = x(i) * y(j)
+        return value
+
+    def power(self, term, k: int, m: int) -> Mat2:
+        """term(k) ** m for m >= 0: the square is a product, and a higher
+        power is grown as term(k) ** (m-1) * term(k), so a run over
+        increasing m costs one multiply per step."""
+        if m == 2:
+            return self.product(term, k, term, k)
+        if m < 2:
+            return term(k) if m else Mat2.identity()
+        value = self._powers.get((term, k, m))
+        if value is None:
+            value = self._powers[term, k, m] = self.power(term, k, m - 1) * term(k)
+        return value
+
+    def scaled(self, e: int, term, k: int, m: int = 1) -> Mat2:
+        """(b/a)^e * term(k) ** m."""
+        if e == 0:
+            return self.power(term, k, m)
+        value = self._scaled.get((e, term, k, m))
+        if value is None:
+            value = self._scaled[e, term, k, m] = self.params.ratio_times(
+                e, self.power(term, k, m)
+            )
+        return value
 
 
-def thm6_suite(params: SeqParams, n: int, fib=None, lucas=None) -> list[IdentityCheck]:
+def thm6_suite(params: SeqParams, n: int, fib=None, lucas=None, *,
+               sides: PairSides | None = None) -> list[IdentityCheck]:
     """L_0/F_1 product identities at index n (six pairwise records).
 
     The iii chain is F_1 L_n = (a/b)^eps(n) (F_{n+2} + F_n)
     = (b/a)^eps(n+1) L_{n+1}; the middle ratio is the brute-force-validated
     one (see :func:`thm6_iii_variant` for the inverted-ratio negative
     control). n may be 0 or negative: index n-1 falls back to the closed
-    form's backward extension.
+    form's backward extension. ``sides``, a :class:`PairSides` for
+    ``params``, shares its products and scaled sides; it replaces ``fib``
+    and ``lucas``.
     """
-    fib, lucas = pair_providers(params, fib, lucas)
+    if sides is None:
+        sides = PairSides(params, fib, lucas)
+    fib, lucas, prod, scaled = sides.fib, sides.lucas, sides.product, sides.scaled
     by = params.ratio_times
     e, e1 = eps(n), eps(n + 1)
-    l0_fn = lucas(0) * fib(n)
-    mid_i = by(e, lucas(n))
-    f1_ln = fib(1) * lucas(n)
+    l0_fn = prod(lucas, 0, fib, n)
+    mid_i = scaled(e, lucas, n)
+    f1_ln = prod(fib, 1, lucas, n)
     mid_iii = by(-e, fib(n + 2) + fib(n))
     return [
         _mk("thm6.i.1", (n,), params, l0_fn, mid_i),
         _mk("thm6.i.2", (n,), params, mid_i, by(-e1, fib(n - 1) + fib(n + 1))),
-        _mk("thm6.ii", (n,), params, fib(n) * lucas(0), l0_fn),
+        _mk("thm6.ii", (n,), params, prod(fib, n, lucas, 0), l0_fn),
         _mk("thm6.iii.1", (n,), params, f1_ln, mid_iii),
-        _mk("thm6.iii.2", (n,), params, mid_iii, by(e1, lucas(n + 1))),
-        _mk("thm6.iv", (n,), params, lucas(n) * fib(1), f1_ln),
+        _mk("thm6.iii.2", (n,), params, mid_iii, scaled(e1, lucas, n + 1)),
+        _mk("thm6.iv", (n,), params, prod(lucas, n, fib, 1), f1_ln),
     ]
 
 
@@ -283,57 +345,59 @@ def thm6_iii_variant(params: SeqParams, n: int, fib=None, lucas=None) -> Identit
     )
 
 
-def thm7_suite(params: SeqParams, m: int, n: int, fib=None, lucas=None) -> list[IdentityCheck]:
-    """Addition-law identities F_m F_n, F_m L_n, L_m L_n (comm + closed)."""
-    fib, lucas = pair_providers(params, fib, lucas)
-    by = params.ratio_times
-    fm_fn = fib(m) * fib(n)
-    fm_ln = fib(m) * lucas(n)
-    lm_ln = lucas(m) * lucas(n)
+def thm7_suite(params: SeqParams, m: int, n: int, fib=None, lucas=None, *,
+               sides: PairSides | None = None) -> list[IdentityCheck]:
+    """Addition-law identities F_m F_n, F_m L_n, L_m L_n (comm + closed).
+    ``sides`` is as in :func:`thm6_suite`."""
+    if sides is None:
+        sides = PairSides(params, fib, lucas)
+    fib, lucas, prod, scaled = sides.fib, sides.lucas, sides.product, sides.scaled
+    fm_fn = prod(fib, m, fib, n)
+    fm_ln = prod(fib, m, lucas, n)
+    lm_ln = prod(lucas, m, lucas, n)
     return [
-        _mk("thm7.i.comm", (m, n), params, fm_fn, fib(n) * fib(m)),
-        _mk("thm7.i.closed", (m, n), params, fm_fn, by(eps(m * n), fib(m + n))),
-        _mk("thm7.ii.comm", (m, n), params, fm_ln, lucas(n) * fib(m)),
+        _mk("thm7.i.comm", (m, n), params, fm_fn, prod(fib, n, fib, m)),
+        _mk("thm7.i.closed", (m, n), params, fm_fn, scaled(eps(m * n), fib, m + n)),
+        _mk("thm7.ii.comm", (m, n), params, fm_ln, prod(lucas, n, fib, m)),
         _mk(
             "thm7.ii.closed", (m, n), params, fm_ln,
-            by(eps(m) * eps(n + 1), lucas(m + n)),
+            scaled(eps(m) * eps(n + 1), lucas, m + n),
         ),
-        _mk("thm7.iii.comm", (m, n), params, lm_ln, lucas(n) * lucas(m)),
+        _mk("thm7.iii.comm", (m, n), params, lm_ln, prod(lucas, n, lucas, m)),
         _mk(
             "thm7.iii.closed", (m, n), params, lm_ln,
-            by(eps(m + 1) * eps(n + 1) - 2, (params.ab + 4) * fib(m + n)),
+            scaled(eps(m + 1) * eps(n + 1) - 2, sides.fib_ab4, m + n),
         ),
     ]
 
 
-def _thm8_power_checks(params, m, n, fib, lucas, power) -> list[IdentityCheck]:
+def _thm8_power_checks(emit, sides: PairSides, m: int, n: int) -> None:
+    params, fib, lucas, power = sides.params, sides.fib, sides.lucas, sides.power
     by = params.ratio_times
     en = eps(n)
-    return [
-        _mk("thm8.i", (m, n), params, power(fib, n, m), by((m // 2) * en, fib(m * n))),
-        _mk(
-            "thm8.ii", (m, n), params, power(fib, n + 1, m),
-            by(-((m + 1) // 2) * en, power(fib, 1, m) * fib(m * n)),
-        ),
-        _mk(
-            "thm8.v", (m, n), params, power(lucas, 0, m) * fib(m * n),
-            by(((m + 1) // 2) * en, power(lucas, n, m)),
-        ),
-    ]
+    emit("thm8.i", (m, n), params, power(fib, n, m), sides.scaled((m // 2) * en, fib, m * n))
+    emit(
+        "thm8.ii", (m, n), params, power(fib, n + 1, m),
+        by(-((m + 1) // 2) * en, power(fib, 1, m) * fib(m * n)),
+    )
+    emit(
+        "thm8.v", (m, n), params, power(lucas, 0, m) * fib(m * n),
+        by(((m + 1) // 2) * en, power(lucas, n, m)),
+    )
 
 
-def _thm8_spread_checks(params, n, r, fib, lucas, power) -> list[IdentityCheck]:
-    by = params.ratio_times
+def _thm8_spread_checks(emit, sides: PairSides, n: int, r: int) -> None:
+    params, fib, lucas, prod, scaled = (
+        sides.params, sides.fib, sides.lucas, sides.product, sides.scaled
+    )
     sign = (-1) ** n
-    mid = by(eps(n - r), power(fib, 2, n))
-    return [
-        _mk("thm8.iii.1", (n, r), params, fib(n - r) * fib(n + r), mid),
-        _mk("thm8.iii.2", (n, r), params, mid, by(sign * eps(r), power(fib, n, 2))),
-        _mk(
-            "thm8.iv", (n, r), params, lucas(n - r) * lucas(n + r),
-            by(-sign * eps(r), power(lucas, n, 2)),
-        ),
-    ]
+    mid = scaled(eps(n - r), fib, 2, n)
+    emit("thm8.iii.1", (n, r), params, prod(fib, n - r, fib, n + r), mid)
+    emit("thm8.iii.2", (n, r), params, mid, scaled(sign * eps(r), fib, n, 2))
+    emit(
+        "thm8.iv", (n, r), params, prod(lucas, n - r, lucas, n + r),
+        scaled(-sign * eps(r), lucas, n, 2),
+    )
 
 
 def thm8_suite(params: SeqParams, m: int, n: int, r: int, fib=None, lucas=None) -> list[IdentityCheck]:
@@ -341,11 +405,12 @@ def thm8_suite(params: SeqParams, m: int, n: int, r: int, fib=None, lucas=None) 
     the empty-product convention: any matrix to the 0th power is I)."""
     if m < 0 or r < 0 or n < r:
         raise ValueError("need m >= 0 and n >= r >= 0")
-    fib, lucas = pair_providers(params, fib, lucas)
-    power = lambda term, k, e: term(k) ** e
-    return _thm8_power_checks(params, m, n, fib, lucas, power) + _thm8_spread_checks(
-        params, n, r, fib, lucas, power
-    )
+    sides = PairSides(params, fib, lucas)
+    checks = []
+    emit = lambda *args: checks.append(_mk(*args))
+    _thm8_power_checks(emit, sides, m, n)
+    _thm8_spread_checks(emit, sides, n, r)
+    return checks
 
 
 def _cross_checks(report: SuiteReport, params: SeqParams, max_index: int, fib, lucas) -> None:
@@ -398,10 +463,12 @@ def run_full_suite(grid, max_index: int, suite: str = "identities",
     report = SuiteReport(suite=suite, params=list(grid))
     indices = range(0, max_index + 1)
     for params in report.params:
-        fib, lucas = providers(params)
+        # one store per pair, so the pair's shared sides are freed with it
+        sides = PairSides(params, *providers(params))
+        fib, lucas = sides.fib, sides.lucas
         _cross_checks(report, params, max_index, fib, lucas)
         for n in indices:
-            report.tally(*thm6_suite(params, n, fib, lucas))
+            report.tally(*thm6_suite(params, n, sides=sides))
         if max_index >= 1 and params.a * params.a != params.b * params.b:
             report.negative_control(
                 thm6_iii_variant(params, 1, fib, lucas),
@@ -410,16 +477,13 @@ def run_full_suite(grid, max_index: int, suite: str = "identities",
             )
         for m in indices:
             for n in indices:
-                report.tally(*thm7_suite(params, m, n, fib, lucas))
-        # the powers are shared across records: F_{n+1}^m at step n is
-        # F_n^m at step n+1, and F_1^m, L_0^m recur at every n
-        power = partial(_cached_power, {})
+                report.tally(*thm7_suite(params, m, n, sides=sides))
         for n in indices:
             for m in indices:
-                report.tally(*_thm8_power_checks(params, m, n, fib, lucas, power))
+                _thm8_power_checks(report.record, sides, m, n)
         for n in indices:
             for r in range(0, n + 1):
-                report.tally(*_thm8_spread_checks(params, n, r, fib, lucas, power))
+                _thm8_spread_checks(report.record, sides, n, r)
     return report
 
 

@@ -24,12 +24,18 @@ from .matrixseq import lucas_matrix_closed, lucas_matrix_rec_iter
 from .sequences import SeqParams, eps
 
 
+def _times_unit(c: Fraction, x):
+    """c * x, with the product skipped when c is 1 or -1."""
+    return x if c == 1 else -x if c == -1 else c * x
+
+
 def expand_rational(num, den, order: int, zero=None) -> tuple:
     """Coefficients 0..order-1 of num(x)/den(x), by exact long division.
 
     ``num`` holds ring coefficients (ascending; Fractions and Mat2 both
     work), padded with ``zero`` past its end; ``den`` holds scalar
-    coefficients with den[0] invertible.
+    coefficients with den[0] invertible. Only den's non-zero terms are
+    used, and a term of +-1, like a unit den[0], costs a sum, not a product.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -37,15 +43,20 @@ def expand_rational(num, den, order: int, zero=None) -> tuple:
     if den[0] == 0:
         raise ZeroDivisionError("denominator constant term must be invertible")
     inv0 = 1 / den[0]
-    num = list(num)
+    # acc - c * y as acc + (-c) * y, for the non-zero c past den[0]
+    terms = [(j, -c) for j, c in enumerate(den) if j and c]
+    # an int coefficient becomes a Fraction, as a product by 1/den[0] would make it
+    num = [Fraction(c) if isinstance(c, int) else c for c in num]
     if zero is None:
         zero = num[0] * 0 if num else Fraction(0)
     out = []
     for k in range(order):
         acc = num[k] if k < len(num) else zero
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[j] * out[k - j]
-        out.append(inv0 * acc)
+        for j, c in terms:
+            if j > k:
+                break
+            acc = acc + _times_unit(c, out[k - j])
+        out.append(_times_unit(inv0, acc))
     return tuple(out)
 
 
@@ -127,7 +138,8 @@ def finite_inverse_sum_sides(
     quartic = _collect([(0, Fraction(1)), (2, -(ab + 2)), (4, Fraction(1))])
     partial = _collect((n + 2 - k, big_l(k)) for k in range(n + 1))
     lhs = _collect(
-        (e1 + e2, c1 * c2) for e1, c1 in quartic.items() for e2, c2 in partial.items()
+        (e1 + e2, _times_unit(c1, c2))
+        for e1, c1 in quartic.items() for e2, c2 in partial.items()
     )
 
     tail_exponent = n + 2 if negative_control else n - 2

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from biperiodic import cli, identities, series
+from biperiodic.exact import Mat2
 from biperiodic.identities import IdentityCheck, SuiteReport
 from biperiodic.sequences import SeqParams
 
@@ -338,6 +339,19 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--a=1/2", "--b=3", "--n-max", "12")
         assert code == 0
         assert sorted(built) == list(range(-12, 25))
+
+    def test_verify_products_are_bounded(self, capsys, monkeypatch):
+        # counts work, not time: every Mat2 product, by a matrix or a
+        # scalar, as perfbench/tracing.py counts exact.mat2_mul.calls
+        calls = []
+        for name in ("__mul__", "__rmul__"):
+            method = Mat2.__dict__[name]
+            monkeypatch.setattr(
+                Mat2, name, lambda x, y, method=method: calls.append(1) or method(x, y)
+            )
+        code, _, _ = run_cli(capsys, "verify", "--a=1/2", "--b=3")
+        assert code == 0
+        assert len(calls) <= 2400
 
     def test_exit_1_when_a_check_fails(self, capsys, monkeypatch):
         # no true identity ever fails, so force one through the suite runner

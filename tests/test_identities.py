@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -23,6 +24,13 @@ from biperiodic.matrixseq import fib_matrix_closed, lucas_matrix_closed
 from biperiodic.sequences import SeqParams, eps, l, q
 
 ASYM = [SeqParams(2, 3), SeqParams(F(1, 2), 4), SeqParams(F(5, 3), F(1, 2)), SeqParams(3, -1)]
+
+
+# a well-formed failure record, as SuiteReport.to_json_dict writes one
+RECORD = {
+    "name": "thm7.i.closed", "indices": [1, 2], "lhs": "1", "rhs": "2",
+    "params": {"a": "1", "b": "1"},
+}
 
 
 def assert_all_hold(checks):
@@ -189,6 +197,74 @@ class TestRunFullSuite:
         assert not any(p.ab == -4 for p in grid)
 
 
+class TestPairSides:
+    PAIR = SeqParams(F(-3, 2), F(5, 3))
+
+    def test_shared_store_gives_the_same_records(self):
+        p = self.PAIR
+        sides = identities.PairSides(p)
+        for n in range(-4, 7):
+            assert thm6_suite(p, n, sides=sides) == thm6_suite(p, n)
+        for m in range(0, 6):
+            for n in range(0, 6):
+                assert thm7_suite(p, m, n, sides=sides) == thm7_suite(p, m, n)
+
+    def test_each_side_is_made_once(self):
+        made = []
+        fib, lucas = (cache(lambda k, t=t: made.append(k) or t(self.PAIR, k))
+                      for t in (fib_matrix_closed, lucas_matrix_closed))
+        sides = identities.PairSides(self.PAIR, fib, lucas)
+        first = sides.product(fib, 2, lucas, 3)
+        assert sides.product(fib, 2, lucas, 3) is first
+        assert sides.scaled(1, lucas, 3) is sides.scaled(1, lucas, 3)
+        assert sides.power(fib, 2, 4) == fib_matrix_closed(self.PAIR, 2) ** 4
+        assert sides.power(fib, 2, 2) is sides.product(fib, 2, fib, 2)
+        assert sorted(made) == [2, 3]
+
+
+class TestFailureRecords:
+    """A failing side reaches the report as one full record, and the check
+    count does not depend on which checks fail."""
+
+    PAIR = SeqParams(F(1, 2), 3)
+    N = 4
+
+    def run(self):
+        return run_full_suite([self.PAIR], self.N)
+
+    def assert_single_failure(self, report, name, indices, lhs, rhs):
+        assert report.checks_run == self.run().checks_run
+        (failure,) = report.failures
+        assert (failure.name, failure.index_args, failure.params) == (name, indices, self.PAIR)
+        assert (failure.lhs, failure.rhs, failure.holds) == (lhs, rhs, False)
+        assert SuiteReport.from_json_dict(report.to_json_dict()).failures == report.failures
+
+    def test_failing_thm8_side(self, monkeypatch):
+        product = identities.PairSides.product
+
+        def faulty(sides, x, i, y, j):
+            value = product(sides, x, i, y, j)
+            # L_0 L_{2N} is thm8.iv's left side at n = r = N and nowhere else
+            if (x, i, y, j) == (sides.lucas, 0, sides.lucas, 2 * self.N):
+                return value + Mat2.identity()
+            return value
+
+        monkeypatch.setattr(identities.PairSides, "product", faulty)
+        big_l = lambda k: lucas_matrix_closed(self.PAIR, k)
+        self.assert_single_failure(
+            self.run(), "thm8.iv", (self.N, self.N),
+            big_l(0) * big_l(2 * self.N) + Mat2.identity(), big_l(self.N) ** 2,
+        )
+
+    def test_failing_cross_check_side(self, monkeypatch):
+        det = identities.lucas_det
+        monkeypatch.setattr(identities, "lucas_det", lambda p, n: det(p, n) + (1 if n == 2 else 0))
+        self.assert_single_failure(
+            self.run(), "det.formula", (2,),
+            det(self.PAIR, 2) + 1, lucas_matrix_closed(self.PAIR, 2).det(),
+        )
+
+
 class TestNegativeControl:
     REASON = "negative control: false by construction"
 
@@ -273,10 +349,20 @@ class TestReportSerialization:
             lambda doc: doc["params"][0].update(a="1/0"),
             lambda doc: doc["params"][0].update(a="1e-5"),
             lambda doc: doc["params"][0].update(b="0.5"),
+            lambda doc: doc.update(failures=[{**RECORD, "name": 5}]),
+            lambda doc: doc.update(expected_failures=[{**RECORD, "reason": 5}]),
+            lambda doc: doc.update(skipped=[{"name": None, "reason": "why"}]),
+            lambda doc: doc.update(skipped=[{"name": "x", "reason": ["why"]}]),
+            lambda doc: doc.update(failures=[{**RECORD, "indices": "ab"}]),
+            lambda doc: doc.update(failures=[{**RECORD, "indices": [1.5, 2]}]),
+            lambda doc: doc.update(failures=[{**RECORD, "indices": [True, 2]}]),
+            lambda doc: doc.update(failures=[{**RECORD, "indices": [1.5, True]}]),
         ],
         ids=["missing-key", "missing-param-key", "params-not-list",
              "checks-run-str", "partial-failure", "bad-rational",
-             "exponent-rational", "decimal-rational"],
+             "exponent-rational", "decimal-rational", "name-not-str",
+             "reason-not-str", "skip-name-not-str", "skip-reason-not-str",
+             "indices-str", "indices-float", "indices-bool", "indices-float-bool"],
     )
     def test_malformed_doc_raises_report_format_error(self, mutate):
         doc = run_full_suite([SeqParams(1, 1)], 1).to_json_dict()
@@ -284,6 +370,17 @@ class TestReportSerialization:
         with pytest.raises(ReportFormatError) as exc:
             SuiteReport.from_json_dict(doc)
         assert isinstance(exc.value, ValueError)
+
+    def test_well_formed_records_parse(self):
+        doc = run_full_suite([SeqParams(1, 1)], 1).to_json_dict()
+        doc.update(
+            failures=[RECORD],
+            expected_failures=[{**RECORD, "reason": "why"}],
+            skipped=[{"name": "x", "reason": "why"}],
+        )
+        back = SuiteReport.from_json_dict(doc)
+        assert back.to_json_dict() == doc
+        assert back.failures[0].index_args == (1, 2)
 
     def test_failure_records_serialize_matrices(self):
         from biperiodic.identities import IdentityCheck, _check_to_dict

@@ -4,6 +4,8 @@ from functools import cache
 from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biperiodic.exact import Mat2
 from biperiodic.matrixseq import lucas_matrix_closed, lucas_matrix_rec_iter
@@ -40,6 +42,22 @@ NEGATIVE_CONTROL_DIGESTS = [
 ]
 
 
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+small_matrices = st.builds(Mat2, small_fractions, small_fractions, small_fractions, small_fractions)
+
+
+def dense_long_division(num, den, order, zero):
+    """c_k = (num_k - sum_{j=1..k} den_j c_{k-j}) / den_0, with every
+    product made, zero and unit terms included."""
+    out = []
+    for k in range(order):
+        acc = num[k] if k < len(num) else zero
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[j] * out[k - j]
+        out.append(acc / den[0])
+    return tuple(out)
+
+
 class TestTruncatedSeries:
     def test_geometric_series(self):
         assert expand_rational([F(1)], [F(1), F(-1)], 8) == (1,) * 8
@@ -61,6 +79,20 @@ class TestTruncatedSeries:
     def test_constant_term_must_be_invertible(self):
         with pytest.raises(ZeroDivisionError):
             expand_rational([F(1)], [F(0), F(1)], 3)
+
+    @given(
+        st.sampled_from([F(1), F(-1), F(3, 2), F(-2, 5)]),
+        st.lists(st.sampled_from([F(0), F(1), F(-1), F(3, 2), F(-5)]), max_size=5),
+        st.one_of(st.lists(small_fractions, min_size=1, max_size=5),
+                  st.lists(small_matrices, min_size=1, max_size=5)),
+        st.integers(1, 12),
+    )
+    def test_matches_dense_long_division(self, head, tail, num, order):
+        den = [head, *tail]
+        zero = Mat2.zero() if isinstance(num[0], Mat2) else F(0)
+        got = expand_rational(num, den, order, zero)
+        assert got == dense_long_division(num, den, order, zero)
+        assert all(type(c) is type(zero) for c in got)
 
 
 class TestGeneratingFunction:
