@@ -2,7 +2,8 @@
 
 Every term of the Fibonacci and Lucas matrix sequences is reachable by
 (1) the matrix recurrence, (2) the entrywise closed form over the scalar
-kernels, and (3) a Binet form evaluated exactly in Q(sqrt(D)). The three
+kernels, and (3) a Binet form evaluated exactly on the algebraic integer
+u + sqrt(r), where ab = u/v and r = u(u + 4v). The three
 must agree entry for entry at every index; this script shows the machinery,
 including a perfect-square discriminant, a negative discriminant, and the
 degenerate case ab = -4 where the Binet route correctly refuses to run.
@@ -29,9 +30,11 @@ print("=" * 72)
 print("F_7 and L_7 three ways, a = 2, b = 3")
 print("=" * 72)
 p = SeqParams(2, 3)
-print(f"discriminant D = ab(ab+4) = {p.disc}")
-print(f"alpha = {p.alpha}")
-print(f"beta  = {p.beta}")
+u, v = p.ab.numerator, p.ab.denominator  # ab = u/v in lowest terms
+r = u * (u + 4 * v)
+print(f"discriminant D = ab(ab+4) = {p.disc}, r = u(u+4v) = {r}")
+print(f"alpha = (u + sqrt(r))/(2v) = ({u} + sqrt({r}))/{2 * v}")
+print(f"beta  = (u - sqrt(r))/(2v) = ({u} - sqrt({r}))/{2 * v}")
 print()
 print("F_7 recurrence :", fib_matrix_rec(p, 7))
 print("F_7 closed     :", fib_matrix_closed(p, 7))

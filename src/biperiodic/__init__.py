@@ -1,18 +1,12 @@
 """Exact arithmetic for bi-periodic Fibonacci and Lucas numbers, their 2x2
 matrix sequences, and machine verification of the identities relating them.
 
-Every value is an exact rational (or an exact element of Q(sqrt(D)) while a
-Binet coefficient is in flight); no floats, no tolerances.
+Every value is an exact rational (a Binet coefficient passes through an
+unreduced integer element (x + y*sqrt(r))/d on its way); no floats, no
+tolerances.
 """
 
-from .exact import (
-    IrrationalResidue,
-    Mat2,
-    MismatchedDiscriminant,
-    QuadElement,
-    Rational,
-    rational_sqrt,
-)
+from .exact import IrrationalResidue, Mat2, Rational
 from .identities import (
     GRID_VALUES,
     ExpectedFailure,
@@ -73,8 +67,6 @@ __all__ = [
     "IdentityCheck",
     "IrrationalResidue",
     "Mat2",
-    "MismatchedDiscriminant",
-    "QuadElement",
     "Rational",
     "ReportFormatError",
     "SeqParams",
@@ -108,7 +100,6 @@ __all__ = [
     "lucas_partial_sum",
     "q",
     "q_direct",
-    "rational_sqrt",
     "run_full_suite",
     "run_series_suite",
     "thm6_iii_variant",

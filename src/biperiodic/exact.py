@@ -1,14 +1,15 @@
 """Exact scalar and 2x2 matrix arithmetic.
 
 The scalars are arbitrary-precision rationals (``fractions.Fraction``,
-re-exported as :data:`Rational`) and the quadratic ring Q(sqrt(D)) with a
-fixed rational discriminant D (:class:`QuadElement`); the matrices
-(:class:`Mat2`) are 2x2 over the rationals only.
+re-exported as :data:`Rational`); the matrices (:class:`Mat2`) are 2x2 over
+the rationals only. :class:`QuadElement` is the little ring arithmetic the
+Binet route needs for its one power of a quadratic irrational: an unreduced
+(x + y*sqrt(r))/d over ints, with sqrt(r) kept formal.
 
 Everything is immutable and every operation is a pure function, so values are
 safe to share between threads (a :class:`Mat2` caches derived forms of its own
 value; two threads filling the cache at once store equal values). No floats
-appear anywhere: equality of results is exact structural equality of
+appear anywhere: equality of matrices is exact structural equality of
 canonical forms.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 Rational = Fraction
 """Base scalar. ``fractions.Fraction`` already guarantees the canonical form
@@ -26,12 +27,8 @@ this library relies on: positive denominator, gcd-reduced, zero stored as 0/1.
 RationalLike = int | Fraction
 
 
-class MismatchedDiscriminant(ValueError):
-    """Two quadratic elements over different sqrt(D) were combined."""
-
-
 class IrrationalResidue(ArithmeticError):
-    """A value that must be rational kept a nonzero sqrt(D) coefficient.
+    """A Binet coefficient that must be rational kept an irrational part.
 
     This is never caused by user input: it can only mean a closed formula
     was transcribed incorrectly, so it is surfaced loudly instead of being
@@ -64,246 +61,56 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of ``x`` if ``x`` is the square of a rational, else None."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 class QuadElement:
-    """An element ``rat + irr*sqrt(disc)`` of Q(sqrt(D)), all parts rational.
+    """(x + y*sqrt(r))/d on plain ints, never reduced.
 
-    ``sqrt(disc)`` stays symbolic even when ``disc`` is a perfect square;
-    :meth:`normalized` folds it into the rational part on demand, and every
-    equality comparison goes through that fold. Elements over different
-    discriminants do not mix (arithmetic raises
-    :class:`MismatchedDiscriminant`) but compare equal when both are the same
-    rational; plain rationals combine with any discriminant.
-
-    Storage. With D = p/q in lowest terms, let r = pq, so that
-    sqrt(D) = sqrt(r)/q. An element is held as three integers (x, y, d)
-    with value (x + y*sqrt(r))/d, canonical when d > 0 and
-    gcd(x, y, d) = 1, next to D and r, so every operation runs on plain
-    ints. ``rat``, ``irr`` and ``disc`` are read-only Fraction views, built
-    when read.
-
-    Cost model. A product is five integer multiplies and one gcd of the new
-    denominator with x and y; a sum reduces the way Fraction adds (one gcd
-    of the denominators, then one with x and y only when it is not 1); a
-    product with an ``int`` or ``Fraction`` p/q takes gcd(p, d) and
-    gcd(q, x, y), with no lift to an element. The perfect-square test of
-    :meth:`normalized` is one isqrt of r. The Fraction form instead pays a
-    gcd and an object per part per operation.
+    sqrt(r) stays a formal symbol t with t^2 = r, so the value lives in
+    Q[t]/(t^2 - r) whatever the sign of r or whether r is a square: a square
+    r only adds zero divisors, such as (s + t)(s - t) = 0 for r = s^2.
+    Supports ``-`` and ``*`` with another element over the same r or with an
+    ``int``/``Fraction``, ``** n`` for n >= 0 and :meth:`conj` (t -> -t).
+    With d = 1 it is an algebraic integer, so its powers need no gcd.
     """
 
-    __slots__ = ("_x", "_y", "_d", "_r", "_disc")
+    __slots__ = ("x", "y", "d", "r")
 
-    def __init__(self, rat: RationalLike, irr: RationalLike, disc: RationalLike):
-        rat, disc = Fraction(rat), Fraction(disc)
-        irr = Fraction(irr) / disc.denominator  # irr*sqrt(D) = (irr/q)*sqrt(r)
-        # the lcm of the denominators leaves no factor shared by all three
-        d = lcm(rat.denominator, irr.denominator)
-        self._x = rat.numerator * (d // rat.denominator)
-        self._y = irr.numerator * (d // irr.denominator)
-        self._d = d
-        self._r = disc.numerator * disc.denominator
-        self._disc = disc
+    def __init__(self, x: int, y: int, d: int, r: int):
+        self.x, self.y, self.d, self.r = x, y, d, r
 
-    @classmethod
-    def from_rational(cls, value: RationalLike, disc: RationalLike) -> QuadElement:
-        return cls(value, 0, disc)
-
-    @classmethod
-    def sqrt_disc(cls, disc: RationalLike) -> QuadElement:
-        """The element sqrt(disc) itself."""
-        return cls(0, 1, disc)
-
-    @property
-    def rat(self) -> Fraction:
-        return Fraction(self._x, self._d)
-
-    @property
-    def irr(self) -> Fraction:
-        return Fraction(self._y * self._disc.denominator, self._d)
-
-    @property
-    def disc(self) -> Fraction:
-        return self._disc
-
-    def _same_disc(self, other: QuadElement) -> None:
-        if other._disc is not self._disc and other._disc != self._disc:
-            raise MismatchedDiscriminant(
-                f"cannot combine sqrt({self._disc}) with sqrt({other._disc})"
-            )
-
-    def _form(self, other) -> tuple[int, int, int] | None:
-        """(x, y, d) of ``other`` over this discriminant, or None."""
+    @staticmethod
+    def _form(other) -> tuple[int, int, int] | None:
         if isinstance(other, QuadElement):
-            self._same_disc(other)
-            return other._x, other._y, other._d
+            return other.x, other.y, other.d
         if isinstance(other, (int, Fraction)):
             return other.numerator, 0, other.denominator
         return None
-
-    def __add__(self, other) -> QuadElement:
-        form = self._form(other)
-        if form is None:
-            return NotImplemented
-        return _add(self, *form)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QuadElement:
-        return _quad(-self._x, -self._y, self._d, self)
 
     def __sub__(self, other) -> QuadElement:
         form = self._form(other)
         if form is None:
             return NotImplemented
         x, y, d = form
-        return _add(self, -x, -y, d)
-
-    def __rsub__(self, other) -> QuadElement:
-        return (-self) + other
+        return QuadElement(self.x * d - x * self.d, self.y * d - y * self.d, self.d * d, self.r)
 
     def __mul__(self, other) -> QuadElement:
-        if isinstance(other, QuadElement):
-            self._same_disc(other)
-            x1, y1, d1 = self._x, self._y, self._d
-            x2, y2, d2 = other._x, other._y, other._d
-            return _reduced(x1 * x2 + y1 * y2 * self._r, x1 * y2 + y1 * x2, d1 * d2, self)
-        if isinstance(other, (int, Fraction)):
-            return _scaled(self, other.numerator, other.denominator)
-        return NotImplemented
+        form = self._form(other)
+        if form is None:
+            return NotImplemented
+        x, y, d = form
+        return QuadElement(self.x * x + self.y * y * self.r, self.x * y + self.y * x,
+                           self.d * d, self.r)
 
     # multiplication commutes; a QuadElement left operand never reaches here
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QuadElement:
         if n < 0:
-            return self.inverse() ** (-n)
-        return _power(self, n, _quad(1, 0, 1, self))
+            raise ValueError("QuadElement powers are defined for n >= 0 only")
+        return _power(self, n, QuadElement(1, 0, 1, self.r))
 
     def conj(self) -> QuadElement:
-        """Conjugation sqrt(D) -> -sqrt(D); a ring homomorphism."""
-        return _quad(self._x, -self._y, self._d, self)
-
-    def norm(self) -> Fraction:
-        """rat^2 - irr^2 * disc (the element times its conjugate)."""
-        x, y, d = self._x, self._y, self._d
-        return Fraction(x * x - y * y * self._r, d * d)
-
-    def inverse(self) -> QuadElement:
-        x, y, d = self._x, self._y, self._d
-        n = x * x - y * y * self._r
-        if n == 0:
-            # covers both the zero element and zero divisors of square disc
-            raise ZeroDivisionError(f"{self!r} has zero norm and no inverse")
-        if n < 0:
-            n, d = -n, -d
-        # d/(x + y sqrt(r)) = d (x - y sqrt(r)) / n
-        return _reduced(d * x, -d * y, n, self)
-
-    def __truediv__(self, other) -> QuadElement:
-        if isinstance(other, QuadElement):
-            return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other) -> QuadElement:
-        return self.inverse() * other
-
-    def normalized(self) -> QuadElement:
-        """Fold sqrt(disc) into the rational part when disc is a perfect square."""
-        y, r = self._y, self._r
-        if not y or r < 0:
-            return self
-        root = isqrt(r)
-        if root * root != r:
-            return self
-        return _reduced(self._x + y * root, 0, self._d, self)
-
-    def is_rational(self) -> bool:
-        return not self.normalized()._y
-
-    def to_rational(self) -> Fraction:
-        norm_self = self.normalized()
-        if norm_self._y:
-            raise IrrationalResidue(
-                f"{self!r} kept a nonzero sqrt({self._disc}) coefficient"
-            )
-        return Fraction(norm_self._x, norm_self._d)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QuadElement):
-            a, b = self.normalized(), other.normalized()
-            if a._y or b._y:  # an irrational value needs the same D
-                return (a._x, a._y, a._d) == (b._x, b._y, b._d) and a._disc == b._disc
-            return a._x == b._x and a._d == b._d
-        if isinstance(other, (int, Fraction)):
-            n = self.normalized()
-            return not n._y and n._x == other.numerator and n._d == other.denominator
-        return NotImplemented
-
-    def __bool__(self) -> bool:
-        return self != 0
-
-    def __repr__(self) -> str:
-        return f"QuadElement({self.rat}, {self.irr}, disc={self.disc})"
-
-    def __str__(self) -> str:
-        if not self._y:
-            return str(self.rat)
-        return f"{self.rat} + {self.irr}*sqrt({self.disc})"
-
-
-def _quad(x: int, y: int, d: int, like: QuadElement) -> QuadElement:
-    """(x + y*sqrt(r))/d over the discriminant of ``like``; (x, y, d) canonical."""
-    e = object.__new__(QuadElement)
-    e._x, e._y, e._d, e._r, e._disc = x, y, d, like._r, like._disc
-    return e
-
-
-def _reduced(x: int, y: int, d: int, like: QuadElement) -> QuadElement:
-    """As :func:`_quad` for d > 0, dividing out gcd(x, y, d) first."""
-    g = gcd(d, x, y)
-    if g == 1:
-        return _quad(x, y, d, like)
-    return _quad(x // g, y // g, d // g, like)
-
-
-def _add(e: QuadElement, x2: int, y2: int, d2: int) -> QuadElement:
-    """e + (x2 + y2*sqrt(r))/d2, reduced as :func:`_add_forms` reduces."""
-    x1, y1, d1 = e._x, e._y, e._d
-    g = gcd(d1, d2)
-    if g == 1:
-        return _quad(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2, e)
-    s, t = d1 // g, d2 // g
-    x, y = x1 * t + x2 * s, y1 * t + y2 * s
-    g = gcd(g, x, y)
-    if g == 1:
-        return _quad(x, y, s * d2, e)
-    return _quad(x // g, y // g, s * (d2 // g), e)
-
-
-def _scaled(e: QuadElement, p: int, q: int) -> QuadElement:
-    """e times p/q (gcd(p, q) = 1, q > 0), reduced as :func:`_scale_form` reduces."""
-    x, y, d = e._x, e._y, e._d
-    g = gcd(p, d)
-    if g != 1:
-        p //= g
-        d //= g
-    g = gcd(q, x, y)
-    if g != 1:
-        q //= g
-        x, y = x // g, y // g
-    return _quad(p * x, p * y, q * d, e)
+        """sqrt(r) -> -sqrt(r); a ring homomorphism."""
+        return QuadElement(self.x, -self.y, self.d, self.r)
 
 
 IntForm = tuple[int, int, int, int, int]
@@ -312,11 +119,12 @@ canonical when d > 0 and gcd(n11, n12, n21, n22, d) = 1."""
 
 
 def _entry(x) -> Fraction:
+    """``x`` as a Fraction if it is an int or a Fraction, else TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise TypeError(f"Mat2 entries are int or Fraction, not {type(x).__name__}")
+    raise TypeError(f"expected an int or a Fraction, not {type(x).__name__}")
 
 
 def _integer_form(entries) -> IntForm:
@@ -338,8 +146,8 @@ class Mat2:
     exponentiation, :meth:`det` and :meth:`trace`. Entries must be ``int``
     or ``Fraction``; anything else, a :class:`QuadElement` included, raises
     ``TypeError`` on construction, and a product with a QuadElement raises
-    ``TypeError`` too. Q(sqrt(D)) is only ever needed for scalar
-    coefficients (see ``matrixseq``), never for a matrix.
+    ``TypeError`` too. sqrt(r) is only ever needed inside a Binet
+    coefficient (see ``matrixseq``), never for a matrix.
 
     Storage. A matrix is held as four integer numerators over one positive
     common denominator, with no factor shared by all five (see

@@ -10,8 +10,10 @@ Each sequence is computed three independent ways:
 * entrywise closed form built from the scalar kernels (any integer n),
 * Binet form (n >= 0, requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
   likewise from L_0, L_1), where each coefficient s is a combination of
-  alpha^n and beta^n evaluated exactly in Q(sqrt(D)) and normalized back
-  down to a rational. Only these scalars leave the rationals; no matrix does.
+  alpha^n and beta^n. With ab = u/v in lowest terms, 2v alpha = u + sqrt(r)
+  for r = u(u + 4v) is an algebraic integer, so its power is a pair of
+  plain ints; s must come back rational. Only these scalars leave the
+  rationals; no matrix does.
 
 The three routes must agree exactly; the closed form is
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import Mat2, _from_form
+from .exact import IrrationalResidue, Mat2, QuadElement, _from_form
 from .sequences import BinetDegenerate, SeqParams, eps, floor_half, l, l_walk, q, q_walk
 
 
@@ -126,18 +128,27 @@ def _binet(params: SeqParams, m1: Mat2, c1, m0: Mat2, c0, power: int, scale: Fra
 
         s = (c(alpha) alpha^power - c(beta) beta^power) / (scale (alpha - beta)).
 
-    Each s is evaluated in Q(sqrt(D)) and must come back rational; a
-    mistranscribed coefficient raises IrrationalResidue instead. alpha^power
-    comes from :meth:`.SeqParams.alpha_power`, one product when the last call
-    on ``params`` used power - 1.
+    With ab = u/v and r = u(u + 4v), alpha = (u + sqrt(r))/(2v) and beta is
+    its conjugate, so alpha - beta = sqrt(r)/v and alpha^power is
+    g^power / (2v)^power for the algebraic integer g = u + sqrt(r). The
+    numerator n = c(alpha) g^power - c(beta) conj(g)^power must then be a pure
+    multiple of sqrt(r), and s = n.y v / (n.d (2v)^power scale); a nonzero
+    rational part of n means a mistranscribed coefficient and raises
+    IrrationalResidue. sqrt(r) stays formal, so a square r needs no fold.
     """
-    alpha, beta = params.alpha, params.beta
-    alpha_p = params.alpha_power(power)
-    beta_p = alpha_p.conj()  # beta is the conjugate of alpha in Q(sqrt(D))
-    den = scale * (alpha - beta)
+    u, v = params.ab.numerator, params.ab.denominator
+    r = u * (u + 4 * v)
+    alpha = QuadElement(u, 1, 2 * v, r)
+    beta = alpha.conj()
+    g_p = QuadElement(u, 1, 1, r) ** power
+    conj_p = g_p.conj()
+    den = (2 * v) ** power * scale.numerator
 
     def coefficient(c) -> Fraction:
-        return ((c(alpha) * alpha_p - c(beta) * beta_p) / den).to_rational()
+        n = c(alpha) * g_p - c(beta) * conj_p
+        if n.x:
+            raise IrrationalResidue(f"Binet numerator kept the rational part {n.x}/{n.d}")
+        return Fraction(n.y * v * scale.denominator, n.d * den)
 
     return coefficient(c1) * m1 + coefficient(c0) * m0
 

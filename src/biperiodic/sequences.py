@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .exact import QuadElement, RationalLike
+from .exact import RationalLike, _entry
 
 
 class BinetDegenerate(ValueError):
@@ -76,21 +76,21 @@ def _walk_term(table: tuple, n: int) -> Fraction:
 class SeqParams:
     """Validated (a, b) pair with the derived quantities everything needs.
 
-    Carries ab, the ratios b/a and a/b, the discriminant D = ab(ab+4), the
-    quadratic roots alpha = (ab + sqrt(D))/2 and beta = (ab - sqrt(D))/2 of
-    x^2 - ab x - ab = 0, and per-instance memos as plain data, so instances
-    pickle and copy: the q and l tables, the powers (b/a)^e that
-    :meth:`ratio_times` has used, and the last power of alpha that the Binet
-    route made, as (p, alpha^p). Instances are immutable apart from the
+    a and b must be ``int`` or ``Fraction`` (anything else raises
+    TypeError, as a ``Mat2`` entry does). Carries ab, the ratios b/a and a/b,
+    the discriminant D = ab(ab+4) of x^2 - ab x - ab = 0, whose roots alpha
+    and beta the Binet route uses, and per-instance memos as plain data, so
+    instances pickle and copy: the q and l tables and the powers (b/a)^e that
+    :meth:`ratio_times` has used. Instances are immutable apart from the
     internal memo growth.
     """
 
-    __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b", "disc", "alpha", "beta",
-                 "binet_allowed", "_q", "_l", "_ratio_powers", "_alpha_power")
+    __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b", "disc",
+                 "binet_allowed", "_q", "_l", "_ratio_powers")
 
     def __init__(self, a: RationalLike, b: RationalLike):
-        a = Fraction(a)
-        b = Fraction(b)
+        a = _entry(a)
+        b = _entry(b)
         if a == 0:
             raise ValueError("parameter a must be nonzero")
         if b == 0:
@@ -101,16 +101,12 @@ class SeqParams:
         self.b_over_a = b / a
         self.a_over_b = a / b
         self.disc = self.ab * (self.ab + 4)
-        half = Fraction(1, 2)
-        self.alpha = QuadElement(self.ab * half, half, self.disc)
-        self.beta = QuadElement(self.ab * half, -half, self.disc)
         # D = 0 collapses alpha and beta and every Binet denominator with it
         self.binet_allowed = self.ab != -4
         # the one statement of which coefficient goes with which parity
         self._q = _table(Fraction(0), Fraction(1), even=a, odd=b)
         self._l = _table(Fraction(2), a, even=b, odd=a)
         self._ratio_powers = {}
-        self._alpha_power = (None, None)
 
     def ratio_times(self, e: int, x):
         """(b/a)^e * x for any integer e: x itself when e = 0, else one
@@ -121,16 +117,6 @@ class SeqParams:
         if r is None:
             r = self._ratio_powers[e] = self.b_over_a ** e
         return x * r
-
-    def alpha_power(self, p: int) -> QuadElement:
-        """alpha^p: the stored power if p is its exponent, one product from it
-        if p is the next exponent (a walk over p in order), else by
-        square-and-multiply. The result replaces the stored power."""
-        k, value = self._alpha_power
-        if k != p:
-            value = value * self.alpha if k == p - 1 else self.alpha**p
-            self._alpha_power = (p, value)
-        return value
 
     def __repr__(self) -> str:
         return f"SeqParams(a={self.a}, b={self.b})"

@@ -6,26 +6,37 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biperiodic.exact import (
-    IrrationalResidue,
-    Mat2,
-    MismatchedDiscriminant,
-    QuadElement,
-    rational_sqrt,
-)
+from biperiodic.exact import Mat2, QuadElement
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
-# positive non-square, negative, perfect-square, and fractional discriminants
-discs = st.sampled_from([F(5), F(2), F(12), F(-3), F(-7, 4), F(9, 4), F(225, 16), F(4)])
+# r under sqrt(r): non-squares, squares (where sqrt(r) stays formal and the
+# ring has zero divisors) and negatives
+quad_rs = st.sampled_from([5, 2, 12, 20, 4, 9, 225, -3, -4, -7])
+quad_ints = st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12))
 
 
 @st.composite
 def quad_tuples(draw, count=1):
-    d = draw(discs)
-    return tuple(
-        QuadElement(draw(rationals), draw(rationals), d) for _ in range(count)
-    )
+    r = draw(quad_rs)
+    return tuple(QuadElement(*draw(quad_ints), r) for _ in range(count))
+
+
+def _value(e):
+    """(rat, irr) Fractions with e = rat + irr*sqrt(r)."""
+    return F(e.x, e.d), F(e.y, e.d)
+
+
+def _quad_ref_mul(x, y, r):
+    """(rat, irr) product of two Fraction pairs over sqrt(r)."""
+    return (x[0] * y[0] + x[1] * y[1] * r, x[0] * y[1] + x[1] * y[0])
+
+
+def _quad_ref_pow(x, n, r):
+    want = (F(1), F(0))
+    for _ in range(n):
+        want = _quad_ref_mul(want, x, r)
+    return want
 
 
 class TestRational:
@@ -60,96 +71,51 @@ class TestRational:
 
 class TestQuadElement:
     def test_sqrt_disc_squares_to_disc(self):
-        root = QuadElement.sqrt_disc(5)
-        assert root * root == QuadElement(5, 0, 5)
+        for r in (5, 9, -4):
+            root = QuadElement(0, 1, 1, r)
+            assert _value(root * root) == (r, 0)
 
     def test_one_is_neutral(self):
-        x = QuadElement(F(2, 3), F(-1, 7), 5)
-        assert QuadElement(1, 0, 5) * x == x
+        x = QuadElement(14, -3, 21, 5)
+        assert _value(QuadElement(1, 0, 1, 5) * x) == _value(x)
 
     def test_golden_ratio_square(self):
-        # phi^2 = phi + 1 in Q(sqrt(5))
-        phi = QuadElement(F(1, 2), F(1, 2), 5)
-        assert phi * phi == QuadElement(F(3, 2), F(1, 2), 5)
+        # phi^2 = phi + 1 for phi = (1 + sqrt(5))/2
+        phi = QuadElement(1, 1, 2, 5)
+        assert _value(phi * phi) == (F(3, 2), F(1, 2))
 
     def test_power_examples(self):
-        phi = QuadElement(F(1, 2), F(1, 2), 5)
-        assert phi**0 == QuadElement(1, 0, 5)
-        assert phi**1 == phi
-        assert phi**3 == QuadElement(2, 1, 5)
+        phi = QuadElement(1, 1, 2, 5)
+        assert _value(phi**0) == (1, 0)
+        assert _value(phi**1) == _value(phi)
+        assert _value(phi**3) == (2, 1)
+        with pytest.raises(ValueError):
+            phi**-1
 
     @given(quad_tuples(1), st.integers(0, 32), st.integers(0, 32))
     def test_power_is_additive(self, xs, m, n):
         (x,) = xs
-        assert x ** (m + n) == x**m * x**n
+        assert _value(x ** (m + n)) == _value(x**m * x**n)
 
     @given(quad_tuples(3))
     def test_ring_axioms(self, xs):
         x, y, z = xs
-        assert x + y == y + x
-        assert x * y == y * x
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
+        assert _value(x * y) == _value(y * x)
+        assert _value((x * y) * z) == _value(x * (y * z))
+        assert _value(x * (y - z)) == _value(x * y - x * z)
 
     @given(quad_tuples(2))
     def test_conjugation_is_a_homomorphism(self, xs):
         x, y = xs
-        assert (x * y).conj() == x.conj() * y.conj()
-        assert (x + y).conj() == x.conj() + y.conj()
-
-    def test_mismatched_discriminants_raise(self):
-        with pytest.raises(MismatchedDiscriminant):
-            QuadElement(1, 1, 5) * QuadElement(1, 1, 7)
-        with pytest.raises(MismatchedDiscriminant):
-            QuadElement(1, 1, 5) + QuadElement(1, 1, 7)
-
-    def test_perfect_square_disc_normalizes(self):
-        # sqrt(9/4) = 3/2, so 1 + 2*sqrt(9/4) is the rational 4
-        x = QuadElement(1, 2, F(9, 4))
-        assert x.is_rational()
-        assert x == F(4)
-        assert x.to_rational() == 4
-
-    def test_negative_disc_is_never_rational(self):
-        x = QuadElement(0, 1, -4)  # 2i, not +-2
-        assert not x.is_rational()
-        assert x != F(2)
-        assert x != F(-2)
-
-    def test_nonsquare_disc_keeps_sqrt(self):
-        x = QuadElement(1, 1, 5)
-        assert not x.is_rational()
-        with pytest.raises(IrrationalResidue):
-            x.to_rational()
-
-    def test_cross_disc_equality_of_rational_values(self):
-        assert QuadElement(3, 0, 5) == QuadElement(3, 0, 7)
-        assert QuadElement(0, 2, F(9, 4)) == QuadElement(3, 0, 11)
-
-    @given(quad_tuples(1))
-    def test_inverse_when_norm_nonzero(self, xs):
-        (x,) = xs
-        if x.norm() == 0:
-            with pytest.raises(ZeroDivisionError):
-                x.inverse()
-        else:
-            assert x * x.inverse() == 1
+        assert _value((x * y).conj()) == _value(x.conj() * y.conj())
+        assert _value((x - y).conj()) == _value(x.conj() - y.conj())
 
     def test_zero_divisor_with_square_disc(self):
-        # (3/2 + sqrt(9/4)) * (3/2 - sqrt(9/4)) = 0 without either factor
-        # being structurally zero
-        x = QuadElement(F(3, 2), -1, F(9, 4))
-        assert x.norm() == 0
-        assert x == 0
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
-
-    def test_rational_sqrt(self):
-        assert rational_sqrt(F(225, 16)) == F(15, 4)
-        assert rational_sqrt(F(4)) == 2
-        assert rational_sqrt(F(5)) is None
-        assert rational_sqrt(F(-9)) is None
-        assert rational_sqrt(F(0)) == 0
+        # sqrt(9) stays formal: (3 + sqrt(9)) (3 - sqrt(9)) = 0 although
+        # neither factor is zero
+        x = QuadElement(3, 1, 1, 9)
+        assert _value(x) != (0, 0)
+        assert _value(x * x.conj()) == (0, 0)
 
 
 class TestMat2:
@@ -194,7 +160,7 @@ class TestMat2:
         assert Mat2(2, 4, 6, 8) / 2 == Mat2(1, 2, 3, 4)
 
     def test_quadratic_entries_and_scalars_rejected(self):
-        root = QuadElement.sqrt_disc(5)
+        root = QuadElement(0, 1, 1, 5)
         with pytest.raises(TypeError):
             Mat2(root, 0, 0, 1)
         with pytest.raises(TypeError):
@@ -325,158 +291,35 @@ class TestMat2IntegerForm:
 
 
 
-# a denominator (5/4), a perfect square (225/16), negative (-3, -7/4), and
-# 20, whose r = num * den equals that of 5/4
-quad_discs = st.sampled_from([F(5), F(5, 4), F(225, 16), F(-3), F(-7, 4), F(20)])
-two_rationals = st.tuples(rationals, rationals)
-
-
-def _quad_ref_mul(x, y, disc):
-    """(rat, irr) product of two Fraction pairs over sqrt(disc)."""
-    return (x[0] * y[0] + x[1] * y[1] * disc, x[0] * y[1] + x[1] * y[0])
-
-
-def _quad_ref_inverse(x, disc):
-    n = x[0] * x[0] - x[1] * x[1] * disc
-    return (x[0] / n, -x[1] / n)
-
-
-def _quad_ref_normalized(x, disc):
-    root = rational_sqrt(disc)
-    if root is None:
-        return x
-    return (x[0] + x[1] * root, F(0))
-
-
-def _parts(q):
-    """(rat, irr) of q, checking the Fraction views and the canonical form."""
-    assert type(q.rat) is F and type(q.irr) is F and type(q.disc) is F
-    assert q._d > 0 and math.gcd(q._x, q._y, q._d) == 1
-    return q.rat, q.irr
-
-
 class TestQuadIntegerForm:
-    """Integer-form QuadElement arithmetic against a (rat, irr) Fraction reference."""
+    """QuadElement arithmetic against a (rat, irr) Fraction reference."""
 
-    @given(quad_discs, two_rationals, two_rationals, two_rationals)
-    def test_add_sub_mul(self, disc, x, y, z):
-        a, b, c = (QuadElement(*u, disc) for u in (x, y, z))
-        assert _parts(a) == x
-        assert _parts(a + b) == (x[0] + y[0], x[1] + y[1])
-        assert _parts(a - b) == (x[0] - y[0], x[1] - y[1])
-        assert _parts(-a) == (-x[0], -x[1])
-        xy = _quad_ref_mul(x, y, disc)
-        assert _parts(a * b) == xy
-        # operands that were themselves produced by integer arithmetic
-        assert _parts(a * b - c) == (xy[0] - z[0], xy[1] - z[1])
-        assert _parts((a * b) * (c + a)) == _quad_ref_mul(
-            xy, (z[0] + x[0], z[1] + x[1]), disc
+    @given(quad_rs, quad_ints, quad_ints, quad_ints)
+    def test_sub_mul_conj_match_reference(self, r, x, y, z):
+        a, b, c = (QuadElement(*u, r) for u in (x, y, z))
+        ra, rb, rc = _value(a), _value(b), _value(c)
+        assert ra == (F(x[0], x[2]), F(x[1], x[2]))
+        assert _value(a - b) == (ra[0] - rb[0], ra[1] - rb[1])
+        ab = _quad_ref_mul(ra, rb, r)
+        assert _value(a * b) == ab
+        assert _value(a.conj()) == (ra[0], -ra[1])
+        # operands that were themselves produced by the arithmetic
+        assert _value(a * b - c) == (ab[0] - rc[0], ab[1] - rc[1])
+        assert _value((a * b) * (c - a).conj()) == _quad_ref_mul(
+            ab, (rc[0] - ra[0], ra[1] - rc[1]), r
         )
+        assert all((e.r, type(e)) == (r, QuadElement) for e in (a - b, a * b, a.conj()))
 
-    @given(quad_discs, two_rationals, scalars)
-    def test_rational_operands(self, disc, x, c):
-        a = QuadElement(*x, disc)
-        scaled = (x[0] * c, x[1] * c)
-        assert _parts(a * c) == _parts(c * a) == scaled
-        assert _parts(a + c) == _parts(c + a) == (x[0] + c, x[1])
-        assert _parts(a - c) == (x[0] - c, x[1])
-        assert _parts(c - a) == (c - x[0], -x[1])
-        if c == 0:
-            with pytest.raises(ZeroDivisionError):
-                a / c
-        else:
-            assert _parts(a / c) == (x[0] / c, x[1] / c)
-        if a.norm() != 0:
-            inv = _quad_ref_inverse(x, disc)
-            assert _parts(c / a) == (inv[0] * c, inv[1] * c)
+    @given(quad_rs, quad_ints, scalars)
+    def test_rational_operands(self, r, x, c):
+        a = QuadElement(*x, r)
+        ra = _value(a)
+        assert _value(a * c) == _value(c * a) == (ra[0] * c, ra[1] * c)
+        assert _value(a - c) == (ra[0] - c, ra[1])
 
-    @given(quad_discs, two_rationals, st.integers(-5, 7))
-    def test_pow(self, disc, x, n):
-        a = QuadElement(*x, disc)
-        if n < 0 and a.norm() == 0:
-            with pytest.raises(ZeroDivisionError):
-                a**n
-            return
-        base = _quad_ref_inverse(x, disc) if n < 0 else x
-        want = (F(1), F(0))
-        for _ in range(abs(n)):
-            want = _quad_ref_mul(want, base, disc)
-        assert _parts(a**n) == want
-
-    @given(quad_discs, two_rationals, two_rationals)
-    def test_conj_norm_inverse_div(self, disc, x, y):
-        a, b = QuadElement(*x, disc), QuadElement(*y, disc)
-        assert _parts(a.conj()) == (x[0], -x[1])
-        norm = a.norm()
-        assert type(norm) is F and norm == x[0] * x[0] - x[1] * x[1] * disc
-        if norm == 0:
-            with pytest.raises(ZeroDivisionError):
-                a.inverse()
-            with pytest.raises(ZeroDivisionError):
-                b / a
-        else:
-            inv = _quad_ref_inverse(x, disc)
-            assert _parts(a.inverse()) == inv
-            assert _parts(b / a) == _quad_ref_mul(y, inv, disc)
-
-    @given(quad_discs, two_rationals)
-    def test_normalized_and_to_rational(self, disc, x):
-        a = QuadElement(*x, disc)
-        want = _quad_ref_normalized(x, disc)
-        assert _parts(a.normalized()) == want
-        assert a.normalized().disc == disc
-        assert a.is_rational() == (want[1] == 0)
-        if want[1] == 0:
-            assert a.to_rational() == want[0] and type(a.to_rational()) is F
-        else:
-            with pytest.raises(IrrationalResidue):
-                a.to_rational()
-
-    @given(quad_discs, quad_discs, two_rationals, two_rationals)
-    def test_equality_matches_reference(self, d1, d2, x, y):
-        a, b = QuadElement(*x, d1), QuadElement(*y, d2)
-        nx, ny = _quad_ref_normalized(x, d1), _quad_ref_normalized(y, d2)
-        if d1 == d2:
-            assert (a == b) == (nx == ny)
-        else:
-            assert (a == b) == (nx[1] == 0 and ny[1] == 0 and nx[0] == ny[0])
-        assert (a == x[0]) == (nx == (x[0], 0))
-        assert bool(a) == (nx != (0, 0))
-
-    def test_reads_and_text(self):
-        x = QuadElement(F(1, 2), F(-3, 4), F(5, 4))
-        assert (x.rat, x.irr, x.disc) == (F(1, 2), F(-3, 4), F(5, 4))
-        assert all(type(v) is F for v in (x.rat, x.irr, x.disc))
-        assert repr(x) == "QuadElement(1/2, -3/4, disc=5/4)"
-        assert str(x) == "1/2 + -3/4*sqrt(5/4)"
-        assert str(QuadElement(F(6, 4), 0, 5)) == "3/2"
-        for name in ("rat", "irr", "disc"):
-            with pytest.raises(AttributeError):
-                setattr(x, name, F(1))
-
-    def test_equality_across_discriminants(self):
-        assert QuadElement(3, 0, 5) == QuadElement(3, 0, F(5, 4))
-        assert QuadElement(0, 4, F(225, 16)) == 15 == QuadElement(15, 0, -3)
-        # 1 + 2*sqrt(5) and 1 + sqrt(20): irrational values over different D
-        # never compare equal
-        assert QuadElement(1, 2, 5) != QuadElement(1, 1, 20)
-
-    def test_discriminant_not_r_decides_mixing(self):
-        # 20 and 5/4 share r = 20, but they are different discriminants
-        with pytest.raises(MismatchedDiscriminant):
-            QuadElement(1, 1, 20) * QuadElement(1, 1, F(5, 4))
-        with pytest.raises(MismatchedDiscriminant):
-            QuadElement(1, 1, 20) - QuadElement(1, 1, F(5, 4))
-        with pytest.raises(MismatchedDiscriminant):
-            QuadElement(1, 1, -3) / QuadElement(1, 1, 5)
-
-    def test_zero_norm_has_no_inverse(self):
-        for zero_norm in (
-            QuadElement(F(15, 4), -1, F(225, 16)),  # 15/4 - sqrt(225/16)
-            QuadElement(0, 0, -3),
-            QuadElement(0, 0, F(5, 4)),
-        ):
-            assert zero_norm.norm() == 0
-            for op in (lambda z: z.inverse(), lambda z: z**-1, lambda z: 1 / z):
-                with pytest.raises(ZeroDivisionError):
-                    op(zero_norm)
+    @given(quad_rs, quad_ints, st.integers(0, 9))
+    def test_pow(self, r, x, n):
+        a = QuadElement(*x, r)
+        assert _value(a**n) == _quad_ref_pow(_value(a), n, r)
+        # an algebraic integer stays integral: no denominator appears
+        assert (QuadElement(x[0], x[1], 1, r) ** n).d == 1

@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from biperiodic.exact import IrrationalResidue, Mat2, rational_sqrt
+from biperiodic.exact import IrrationalResidue, Mat2, QuadElement
 from biperiodic.identities import default_grid
 from biperiodic.matrixseq import (
     _binet,
@@ -150,10 +150,18 @@ class TestTripleAgreement:
         # with A1 = [F1 - b F0]^eps(n) [a F1 - F0 - ab F0]^(1-eps(n))
         #   / ((ab)^floor(n/2) (alpha - beta))
         # and  B1 = b^eps(n) F0 / ((ab)^(floor(n/2)+1) (alpha - beta));
-        # the alpha/beta factors are rational scalars on rational matrices
+        # the alpha/beta factors are rational scalars on rational matrices.
+        # alpha = ab/2 + sqrt(D)/2 is kept as a (rat, irr) pair over a formal
+        # sqrt(D); beta is its conjugate, so alpha^k - beta^k = 2 irr_k sqrt(D)
+        # and alpha - beta = sqrt(D): (alpha^k - beta^k)/(alpha - beta) = 2 irr_k
+        def alpha_minus_beta_ratio(p, k):
+            x, y = F(1), F(0)
+            for _ in range(k):
+                x, y = x * p.ab / 2 + y * p.disc / 2, x / 2 + y * p.ab / 2
+            return 2 * y
+
         for p in SAMPLE:
             a, b, ab = p.a, p.b, p.ab
-            alpha, beta = p.alpha, p.beta
             f0 = Mat2.identity()
             f1 = Mat2(b, b / a, 1, 0)
             for n in range(0, 14):
@@ -162,21 +170,22 @@ class TestTripleAgreement:
                     a1_num = f1 - b * f0
                 else:
                     a1_num = a * f1 - f0 - ab * f0
-                s1 = (alpha**n - beta**n) / ((ab**h) * (alpha - beta))
-                s2 = (alpha ** (2 * h + 2) - beta ** (2 * h + 2)) / (
-                    (ab ** (h + 1)) * (alpha - beta)
-                )
-                term1 = s1.to_rational() * a1_num
-                term2 = s2.to_rational() * ((b ** eps(n)) * f0)
+                s1 = alpha_minus_beta_ratio(p, n) / ab**h
+                s2 = alpha_minus_beta_ratio(p, 2 * h + 2) / ab ** (h + 1)
+                term1 = s1 * a1_num
+                term2 = s2 * ((b ** eps(n)) * f0)
                 assert term1 + term2 == fib_matrix_rec(p, n), (p, n)
 
     def test_wrong_binet_coefficient_leaves_residue(self):
-        # negative control: the beta half reusing alpha is not rational
+        # negative control: the beta half reusing alpha is not rational.
+        # alpha = (u + sqrt(r))/(2v) for ab = u/v and r = u(u + 4v), the
+        # integer form the Binet route itself uses; r = 60 is not a square
         p = SeqParams(2, 3)
-        assert rational_sqrt(p.disc) is None
+        u, v = p.ab.numerator, p.ab.denominator
+        alpha = QuadElement(u, 1, 2 * v, u * (u + 4 * v))
         f0, f1 = Mat2.identity(), Mat2(p.b, p.b_over_a, 1, 0)
         with pytest.raises(IrrationalResidue):
-            _binet(p, f1, lambda _: p.a, f0, lambda _: p.alpha - p.ab, 4, p.ab**2)
+            _binet(p, f1, lambda _: p.a, f0, lambda _: alpha - p.ab, 4, p.ab**2)
         assert _binet(p, f1, lambda _: p.a, f0, lambda x: x - p.ab, 4, p.ab**2) == (
             fib_matrix_rec(p, 4)
         )

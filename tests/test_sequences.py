@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biperiodic.exact import Mat2
+from biperiodic.exact import Mat2, QuadElement
 from biperiodic.identities import default_grid
 from biperiodic.sequences import (
     SeqParams,
@@ -40,9 +40,16 @@ class TestSeqParams:
         assert p.ab == a * b
         assert p.disc == a * b * (a * b + 4)
         assert p.disc == a * a * b * b + 4 * a * b
-        # root identities hold exactly in Q(sqrt(D))
-        assert p.alpha + p.beta == p.ab
-        assert p.alpha * p.beta == -p.ab
+        # Vieta on the roots in the Binet route's integer form: with ab = u/v
+        # and r = u(u + 4v) = D v^2, alpha, beta = (u +- sqrt(r))/(2v), so
+        # alpha + beta = ab and alpha beta = -ab
+        u, v = p.ab.numerator, p.ab.denominator
+        r = u * (u + 4 * v)
+        assert r == p.disc * v * v
+        alpha = QuadElement(u, 1, 2 * v, r)
+        beta = alpha.conj()
+        for value, want in ((alpha - (-1) * beta, p.ab), (alpha * beta, -p.ab)):
+            assert (F(value.x, value.d), value.y) == (want, 0)
         assert p.binet_allowed == (a * b != -4)
 
     def test_degenerate_flag(self):
@@ -61,11 +68,11 @@ class TestSeqParams:
                     assert type(got) is type(x)
                     assert got == (F(b) / F(a)) ** e * x, (e, x)
 
-    @pytest.mark.parametrize("order", [range(0, 20), range(19, -1, -1), (5, 5, 4, 9, 10, 0, 1)])
-    def test_alpha_power_matches_square_and_multiply(self, order):
-        p = SeqParams(F(1, 2), F(5, 3))
-        for k in order:
-            assert p.alpha_power(k) == p.alpha**k, k
+    @pytest.mark.parametrize("a, b", [(0.1, 1), (1, 0.5), ("1/2", 3), (1, "3")],
+                             ids=["float-a", "float-b", "str-a", "str-b"])
+    def test_non_rational_parameters_rejected(self, a, b):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            SeqParams(a, b)
 
 
 class TestParityHelpers:
@@ -197,12 +204,11 @@ def test_concurrent_memo_fills_are_consistent():
         sys.setswitchinterval(old_interval)
 
 
-def test_concurrent_ratio_and_alpha_power_reads_are_exact():
-    # eight threads share one instance's stored (b/a)^e and alpha^p, walking
-    # the exponents in opposite orders; every read must be the exact power
+def test_concurrent_ratio_reads_are_exact():
+    # eight threads share one instance's stored (b/a)^e, walking the
+    # exponents in opposite orders; every read must be the exact power
     a, b = F(2, 3), F(-5)
     ratios = {e: (b / a) ** e for e in range(-9, 10)}
-    powers = [SeqParams(a, b).alpha ** k for k in range(30)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -215,7 +221,7 @@ def test_concurrent_ratio_and_alpha_power_reads_are_exact():
                 start.wait()
                 for k in range(30) if thread_no % 2 else range(29, -1, -1):
                     e = k % 19 - 9
-                    if p.alpha_power(k) != powers[k] or p.ratio_times(e, F(1)) != ratios[e]:
+                    if p.ratio_times(e, F(1)) != ratios[e]:
                         wrong.append((thread_no, k))
 
             threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
