@@ -3,8 +3,7 @@ together, the scalar and determinant cross-checks, and the series facts
 (generating function, inverse-power sums, partial sums), with a uniform
 JSON-serializable report.
 
-Chained equalities are split into pairwise records so a failure localizes;
-commutation and closed-form halves are separate records for the same reason.
+The identities are data, the :data:`FAMILIES` table, and one loop runs them.
 Failures are data, not exceptions: a report with a populated ``failures``
 list is still a well-formed result.
 """
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exact import Mat2, parse_rational
 from .matrixseq import (
@@ -39,15 +38,8 @@ from .series import (
     lucas_partial_sum,
 )
 
-GRID_VALUES = (
-    Fraction(1),
-    Fraction(2),
-    Fraction(3),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(-3, 2),
-    Fraction(5, 3),
-)
+GRID_VALUES = (Fraction(1), Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2),
+               Fraction(-3, 2), Fraction(5, 3))
 
 
 def default_grid() -> list[SeqParams]:
@@ -62,13 +54,10 @@ class ReportFormatError(ValueError):
 
 class IdentityCheck(NamedTuple):
     """One checked relation: both sides at the given indices for ``params``,
-    and whether they are equal.
-
-    An immutable named tuple: fields by name or position, in this order,
-    built positionally or by keyword; assigning a field raises
-    AttributeError, and ``_replace`` makes a changed copy. A run makes one
-    per check, so the record is kept as cheap to build as a tuple.
-    """
+    and whether they are equal. An immutable named tuple: fields by name or
+    position, built positionally or by keyword; assigning a field raises
+    AttributeError, and ``_replace`` makes a changed copy. A suite report
+    keeps one per failing check; the theorem views return one per check."""
 
     name: str
     index_args: tuple[int, ...]
@@ -88,10 +77,6 @@ class SkipRecord:
 class ExpectedFailure:
     check: IdentityCheck
     reason: str
-
-
-def _mk(name, idx, params, lhs, rhs) -> IdentityCheck:
-    return IdentityCheck(name, tuple(idx), params, lhs, rhs, lhs == rhs)
 
 
 def render_value(v):
@@ -162,8 +147,12 @@ class SuiteReport:
         self.checks_run += len(checks)
         self.failures.extend(c for c in checks if not c.holds)
 
-    def record(self, name, idx, params, lhs, rhs) -> None:
-        """Count one check; a record is built only if it fails."""
+    def record(self, name, idx, params, lhs, rhs, negctl: str | None = None) -> None:
+        """Count one check; a record is built only if it fails. A check with
+        a ``negctl`` reason must fail: see :meth:`negative_control`."""
+        if negctl is not None:
+            check = IdentityCheck(name, tuple(idx), params, lhs, rhs, lhs == rhs)
+            return self.negative_control(check, negctl)
         self.checks_run += 1
         if lhs != rhs:
             self.failures.append(IdentityCheck(name, tuple(idx), params, lhs, rhs, False))
@@ -216,56 +205,46 @@ class SuiteReport:
                 params=[_params_from_dict(p) for p in d["params"]],
                 checks_run=_typed(d["checks_run"], int, "'checks_run'"),
                 failures=[_check_from_dict(c, holds=False) for c in d["failures"]],
-                skipped=[
-                    SkipRecord(
-                        _typed(s["name"], str, "a name"), _typed(s["reason"], str, "a reason")
-                    )
-                    for s in d["skipped"]
-                ],
-                expected_failures=[
-                    ExpectedFailure(
-                        _check_from_dict(c, holds=False), _typed(c["reason"], str, "a reason")
-                    )
-                    for c in d.get("expected_failures", [])
-                ],
+                skipped=[SkipRecord(_typed(s["name"], str, "a name"),
+                                    _typed(s["reason"], str, "a reason")) for s in d["skipped"]],
+                expected_failures=[ExpectedFailure(_check_from_dict(c, holds=False),
+                                                   _typed(c["reason"], str, "a reason"))
+                                   for c in d.get("expected_failures", [])],
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ReportFormatError(f"malformed suite report: {exc!r}") from exc
 
 
-def pair_providers(params, fib=None, lucas=None):
-    """k -> F_k and k -> L_k: the given ones, else the closed form, each
-    index computed once. The suite runners take it as their ``providers``;
-    a cached copy shared by two runs builds each matrix once."""
-    if fib is None:
-        fib = cache(lambda k: fib_matrix_closed(params, k))
-    if lucas is None:
-        lucas = cache(lambda k: lucas_matrix_closed(params, k))
-    return fib, lucas
+def pair_providers(params):
+    """k -> F_k and k -> L_k by the closed form, each index computed once.
+    The suite runners take it as their ``providers``; a cached copy shared
+    by two runs builds each matrix once."""
+    return (cache(lambda k: fib_matrix_closed(params, k)),
+            cache(lambda k: lucas_matrix_closed(params, k)))
 
 
 class PairSides:
     """The matrix sides one pair's checks share, each computed once.
 
-    ``fib`` and ``lucas`` are the pair's providers (see
-    :func:`pair_providers`) and ``fib_ab4`` maps k to (ab+4) F_k. For such
-    terms X and Y the store keeps the products X_i Y_j, the powers X_k^m and
-    the scaled sides (b/a)^e X_k^m. So a commutation check reads the product
-    its closed form already made, and a closed-form side is made once per
-    (e, k), not once per index pair. It grows with the checks that read it:
-    build one per pair and drop it with the pair.
+    ``fib`` and ``lucas`` are the pair's providers, both or neither given
+    (default :func:`pair_providers`), and ``fib_ab4`` maps k to (ab+4) F_k.
+    For such terms X and Y the store keeps the products X_i Y_j, the powers
+    X_k^m, the scaled sides (b/a)^e X_k^m and the terms of each one-step
+    walk it reads, so a side that several checks share is made once. Build
+    one per pair and drop it with the pair.
     """
 
-    __slots__ = ("params", "fib", "lucas", "fib_ab4", "_products", "_powers", "_scaled")
+    __slots__ = ("params", "by", "fib", "lucas", "fib_ab4",
+                 "_products", "_powers", "_scaled", "_walks")
 
     def __init__(self, params: SeqParams, fib=None, lucas=None):
-        fib, lucas = pair_providers(params, fib, lucas)
+        if fib is None:
+            fib, lucas = pair_providers(params)
         self.params, self.fib, self.lucas = params, fib, lucas
+        self.by = params.ratio_times
         ab4 = params.ab + 4
         self.fib_ab4 = cache(lambda k: ab4 * fib(k))
-        self._products = {}
-        self._powers = {}
-        self._scaled = {}
+        self._products, self._powers, self._scaled, self._walks = {}, {}, {}, {}
 
     def product(self, x, i: int, y, j: int) -> Mat2:
         """x(i) * y(j)."""
@@ -278,212 +257,230 @@ class PairSides:
         """term(k) ** m for m >= 0: the square is a product, and a higher
         power is grown as term(k) ** (m-1) * term(k), so a run over
         increasing m costs one multiply per step."""
-        if m == 2:
-            return self.product(term, k, term, k)
-        if m < 2:
-            return term(k) if m else Mat2.identity()
         value = self._powers.get((term, k, m))
         if value is None:
-            value = self._powers[term, k, m] = self.power(term, k, m - 1) * term(k)
+            value = self._powers[term, k, m] = (
+                self.power(term, k, m - 1) * term(k) if m > 2
+                else self.product(term, k, term, k) if m == 2
+                else term(k) if m else Mat2.identity())
         return value
 
     def scaled(self, e: int, term, k: int, m: int = 1) -> Mat2:
         """(b/a)^e * term(k) ** m."""
-        if e == 0:
-            return self.power(term, k, m)
         value = self._scaled.get((e, term, k, m))
         if value is None:
-            value = self._scaled[e, term, k, m] = self.params.ratio_times(
-                e, self.power(term, k, m)
-            )
+            value = self._scaled[e, term, k, m] = self.by(e, self.power(term, k, m))
         return value
 
-
-def thm6_suite(params: SeqParams, n: int, fib=None, lucas=None, *,
-               sides: PairSides | None = None) -> list[IdentityCheck]:
-    """L_0/F_1 product identities at index n (six pairwise records).
-
-    The iii chain is F_1 L_n = (a/b)^eps(n) (F_{n+2} + F_n)
-    = (b/a)^eps(n+1) L_{n+1}; the middle ratio is the brute-force-validated
-    one (see :func:`thm6_iii_variant` for the inverted-ratio negative
-    control). n may be 0 or negative: index n-1 falls back to the closed
-    form's backward extension. ``sides``, a :class:`PairSides` for
-    ``params``, shares its products and scaled sides; it replaces ``fib``
-    and ``lucas``.
-    """
-    if sides is None:
-        sides = PairSides(params, fib, lucas)
-    fib, lucas, prod, scaled = sides.fib, sides.lucas, sides.product, sides.scaled
-    by = params.ratio_times
-    e, e1 = eps(n), eps(n + 1)
-    l0_fn = prod(lucas, 0, fib, n)
-    mid_i = scaled(e, lucas, n)
-    f1_ln = prod(fib, 1, lucas, n)
-    mid_iii = by(-e, fib(n + 2) + fib(n))
-    return [
-        _mk("thm6.i.1", (n,), params, l0_fn, mid_i),
-        _mk("thm6.i.2", (n,), params, mid_i, by(-e1, fib(n - 1) + fib(n + 1))),
-        _mk("thm6.ii", (n,), params, prod(fib, n, lucas, 0), l0_fn),
-        _mk("thm6.iii.1", (n,), params, f1_ln, mid_iii),
-        _mk("thm6.iii.2", (n,), params, mid_iii, scaled(e1, lucas, n + 1)),
-        _mk("thm6.iv", (n,), params, prod(lucas, n, fib, 1), f1_ln),
-    ]
+    def walked(self, start, k: int) -> Mat2:
+        """Term k >= 0 of the one-step walk ``start(params)``, such as
+        :func:`fib_matrix_rec_iter`: started once, its terms kept."""
+        if start not in self._walks:
+            self._walks[start] = ([], start(self.params))
+        terms, steps = self._walks[start]
+        terms.extend(islice(steps, max(0, k + 1 - len(terms))))
+        return terms[k]
 
 
-def thm6_iii_variant(params: SeqParams, n: int, fib=None, lucas=None) -> IdentityCheck:
-    """Negative control: the thm6.iii middle member with the ratio inverted,
-    F_1 L_n vs (b/a)^eps(n) (F_{n+2} + F_n).
+class Record(NamedTuple):
+    """One relation of the paper: ``members(sides, *indices)`` reads its
+    members from the pair's :class:`PairSides`, and ``checks`` names each
+    checked equality ``(name, i, j)`` of members i and j, so a chained or
+    commuted relation fails check by check. Where ``when(sides, *indices)``
+    is false the suite skips it, reporting a ``skip`` reason once per pair.
+    A ``negctl`` record is false by construction: its checks must fail."""
 
-    False for every odd n whenever a^2 != b^2 (exponent search over the grid
-    returns -eps(n) uniquely); coincides with the true form when the ratio
-    b/a is +-1.
-    """
-    fib, lucas = pair_providers(params, fib, lucas)
-    return _mk(
-        "thm6.iii.negctl", (n,), params,
-        fib(1) * lucas(n), params.ratio_times(eps(n), fib(n + 2) + fib(n)),
-    )
-
-
-def thm7_suite(params: SeqParams, m: int, n: int, fib=None, lucas=None, *,
-               sides: PairSides | None = None) -> list[IdentityCheck]:
-    """Addition-law identities F_m F_n, F_m L_n, L_m L_n (comm + closed).
-    ``sides`` is as in :func:`thm6_suite`."""
-    if sides is None:
-        sides = PairSides(params, fib, lucas)
-    fib, lucas, prod, scaled = sides.fib, sides.lucas, sides.product, sides.scaled
-    fm_fn = prod(fib, m, fib, n)
-    fm_ln = prod(fib, m, lucas, n)
-    lm_ln = prod(lucas, m, lucas, n)
-    return [
-        _mk("thm7.i.comm", (m, n), params, fm_fn, prod(fib, n, fib, m)),
-        _mk("thm7.i.closed", (m, n), params, fm_fn, scaled(eps(m * n), fib, m + n)),
-        _mk("thm7.ii.comm", (m, n), params, fm_ln, prod(lucas, n, fib, m)),
-        _mk(
-            "thm7.ii.closed", (m, n), params, fm_ln,
-            scaled(eps(m) * eps(n + 1), lucas, m + n),
-        ),
-        _mk("thm7.iii.comm", (m, n), params, lm_ln, prod(lucas, n, lucas, m)),
-        _mk(
-            "thm7.iii.closed", (m, n), params, lm_ln,
-            scaled(eps(m + 1) * eps(n + 1) - 2, sides.fib_ab4, m + n),
-        ),
-    ]
+    members: Callable[..., tuple]
+    checks: tuple[tuple[str, int, int], ...]
+    when: Callable[..., bool] | None = None
+    skip: str | None = None
+    negctl: str | None = None
 
 
-def _thm8_power_checks(emit, sides: PairSides, m: int, n: int) -> None:
-    params, fib, lucas, power = sides.params, sides.fib, sides.lucas, sides.power
-    by = params.ratio_times
-    en = eps(n)
-    emit("thm8.i", (m, n), params, power(fib, n, m), sides.scaled((m // 2) * en, fib, m * n))
-    emit(
-        "thm8.ii", (m, n), params, power(fib, n + 1, m),
-        by(-((m + 1) // 2) * en, power(fib, 1, m) * fib(m * n)),
-    )
-    emit(
-        "thm8.v", (m, n), params, power(lucas, 0, m) * fib(m * n),
-        by(((m + 1) // 2) * en, power(lucas, n, m)),
-    )
+class Family(NamedTuple):
+    """Records run at each index tuple of ``domain(max_index)``, in order."""
+
+    domain: Callable[[int], list[tuple[int, ...]]]
+    records: tuple[Record, ...]
 
 
-def _thm8_spread_checks(emit, sides: PairSides, n: int, r: int) -> None:
-    params, fib, lucas, prod, scaled = (
-        sides.params, sides.fib, sides.lucas, sides.product, sides.scaled
-    )
-    sign = (-1) ** n
-    mid = scaled(eps(n - r), fib, 2, n)
-    emit("thm8.iii.1", (n, r), params, prod(fib, n - r, fib, n + r), mid)
-    emit("thm8.iii.2", (n, r), params, mid, scaled(sign * eps(r), fib, n, 2))
-    emit(
-        "thm8.iv", (n, r), params, prod(lucas, n - r, lucas, n + r),
-        scaled(-sign * eps(r), lucas, n, 2),
-    )
+def _eq(name: str, members, **kw) -> Record:
+    return Record(members, ((name, 0, 1),), **kw)
 
 
-def thm8_suite(params: SeqParams, m: int, n: int, r: int, fib=None, lucas=None) -> list[IdentityCheck]:
-    """Power identities for F_n^m, products at spread n-r / n+r (m = 0 uses
-    the empty-product convention: any matrix to the 0th power is I)."""
-    if m < 0 or r < 0 or n < r:
-        raise ValueError("need m >= 0 and n >= r >= 0")
-    sides = PairSides(params, fib, lucas)
+_upto = lambda N: [(n,) for n in range(N + 1)]
+_BINET = dict(when=lambda s, n: s.params.binet_allowed,
+              skip="ab = -4 degenerate (a={p.a}, b={p.b})")
+
+# What run_full_suite checks: one family per index domain, in run order. ``s``
+# is the pair's PairSides: s.fib, s.lucas and s.fib_ab4 are k -> F_k, L_k and
+# (ab+4) F_k by the closed form, and s.by(e, x) is (b/a)^e x.
+FAMILIES = {
+    # scalar forms, determinant and entries of L_n, Cassini; n = -N..N
+    "cross": Family(lambda N: [(n,) for n in range(-N, N + 1)], (
+        _eq("lucas-from-fib", lambda s, n: lucas_from_fib_sides(s.params, n)),
+        _eq("fib-from-lucas", lambda s, n: fib_from_lucas_sides(s.params, n)),
+        _eq("det.formula", lambda s, n: (lucas_det(s.params, n), s.lucas(n).det())),
+        _eq("entries.l", lambda s, n: (s.lucas(n).e12, l(s.params, n))),
+        _eq("entries.l-scaled", lambda s, n: (s.lucas(n).e21, s.params.a_over_b * l(s.params, n))),
+        _eq("cassini", lambda s, n: cassini_lucas_sides(s.params, n), when=lambda s, n: n >= 1),
+    )),
+    # the one-step walk and Binet against the closed form; n = 0..N
+    "triple": Family(_upto, (
+        _eq("triple.fib.rec-closed", lambda s, n: (s.walked(fib_matrix_rec_iter, n), s.fib(n))),
+        _eq("triple.lucas.rec-closed",
+            lambda s, n: (s.walked(lucas_matrix_rec_iter, n), s.lucas(n))),
+        _eq("triple.fib.binet-closed", lambda s, n: (fib_matrix_binet(s.params, n), s.fib(n)),
+            **_BINET),
+        _eq("triple.lucas.binet-closed",
+            lambda s, n: (lucas_matrix_binet(s.params, n), s.lucas(n)), **_BINET),
+    )),
+    # Theorem 6, L_0 and F_1 products; n = 0..N. The middle member of iii
+    # is the brute-force-validated ratio; the control inverts it.
+    "thm6": Family(_upto, (
+        Record(lambda s, n: (s.product(s.lucas, 0, s.fib, n), s.scaled(eps(n), s.lucas, n),
+                             s.by(-eps(n + 1), s.fib(n - 1) + s.fib(n + 1))),
+               (("thm6.i.1", 0, 1), ("thm6.i.2", 1, 2))),
+        _eq("thm6.ii",
+            lambda s, n: (s.product(s.fib, n, s.lucas, 0), s.product(s.lucas, 0, s.fib, n))),
+        Record(lambda s, n: (s.product(s.fib, 1, s.lucas, n),
+                             s.by(-eps(n), s.fib(n + 2) + s.fib(n)),
+                             s.scaled(eps(n + 1), s.lucas, n + 1)),
+               (("thm6.iii.1", 0, 1), ("thm6.iii.2", 1, 2))),
+        _eq("thm6.iv",
+            lambda s, n: (s.product(s.lucas, n, s.fib, 1), s.product(s.fib, 1, s.lucas, n))),
+    )),
+    # F_1 L_n against (b/a)^eps(n) (F_{n+2} + F_n): false at odd n when
+    # a^2 != b^2, the true form when b/a = +-1; n = 1 if N >= 1
+    "thm6 control": Family(lambda N: [(1,)] if N >= 1 else [], (
+        _eq("thm6.iii.negctl",
+            lambda s, n: (s.product(s.fib, 1, s.lucas, n), s.by(eps(n), s.fib(n + 2) + s.fib(n))),
+            when=lambda s, n: s.params.a ** 2 != s.params.b ** 2,
+            negctl="negative control: inverted-ratio middle member is "
+                   "false at odd n whenever a^2 != b^2"),
+    )),
+    # Theorem 7, addition laws, commuted and closed; m, n = 0..N
+    "thm7": Family(lambda N: [(m, n) for m in range(N + 1) for n in range(N + 1)], (
+        Record(lambda s, m, n: (s.product(s.fib, m, s.fib, n), s.product(s.fib, n, s.fib, m),
+                                s.scaled(eps(m * n), s.fib, m + n)),
+               (("thm7.i.comm", 0, 1), ("thm7.i.closed", 0, 2))),
+        Record(lambda s, m, n: (s.product(s.fib, m, s.lucas, n), s.product(s.lucas, n, s.fib, m),
+                                s.scaled(eps(m) * eps(n + 1), s.lucas, m + n)),
+               (("thm7.ii.comm", 0, 1), ("thm7.ii.closed", 0, 2))),
+        Record(lambda s, m, n: (s.product(s.lucas, m, s.lucas, n),
+                                s.product(s.lucas, n, s.lucas, m),
+                                s.scaled(eps(m + 1) * eps(n + 1) - 2, s.fib_ab4, m + n)),
+               (("thm7.iii.comm", 0, 1), ("thm7.iii.closed", 0, 2))),
+    )),
+    # Theorem 8, powers F_n^m (F^0 = I); n = 0..N outer, m = 0..N inner
+    "thm8 power": Family(lambda N: [(m, n) for n in range(N + 1) for m in range(N + 1)], (
+        _eq("thm8.i",
+            lambda s, m, n: (s.power(s.fib, n, m), s.scaled((m // 2) * eps(n), s.fib, m * n))),
+        _eq("thm8.ii", lambda s, m, n: (s.power(s.fib, n + 1, m), s.by(
+            -((m + 1) // 2) * eps(n), s.power(s.fib, 1, m) * s.fib(m * n)))),
+        _eq("thm8.v", lambda s, m, n: (s.power(s.lucas, 0, m) * s.fib(m * n), s.by(
+            ((m + 1) // 2) * eps(n), s.power(s.lucas, n, m)))),
+    )),
+    # Theorem 8, products at spread n - r, n + r; n = 0..N, r = 0..n
+    "thm8 spread": Family(lambda N: [(n, r) for n in range(N + 1) for r in range(n + 1)], (
+        Record(lambda s, n, r: (s.product(s.fib, n - r, s.fib, n + r),
+                                s.scaled(eps(n - r), s.fib, 2, n),
+                                s.scaled((-1) ** n * eps(r), s.fib, n, 2)),
+               (("thm8.iii.1", 0, 1), ("thm8.iii.2", 1, 2))),
+        _eq("thm8.iv", lambda s, n, r: (s.product(s.lucas, n - r, s.lucas, n + r),
+                                        s.scaled(-(-1) ** n * eps(r), s.lucas, n, 2))),
+    )),
+}
+
+
+def _run(records, indices, sides: PairSides, emit, skipped: dict | None = None) -> None:
+    """The one loop that evaluates table records: at each of ``indices``, each
+    record makes its members once and passes each check to ``emit(name, idx,
+    params, lhs, rhs, negctl)``. ``skipped``, if given, turns the predicates
+    on and maps each ruled-out record's checks to its skip reason."""
+    params = sides.params
+    for idx in indices:
+        args = (sides, *idx)
+        for members, pairs, when, skip, negctl in records:
+            if when is not None and skipped is not None and not when(*args):
+                if skip is not None:
+                    skipped[pairs] = skip
+                continue
+            s = members(*args)
+            for name, i, j in pairs:
+                emit(name, idx, params, s[i], s[j], negctl)
+
+
+def _view(family: str, params: SeqParams, idx: tuple, sides=None, emit=None) -> list[IdentityCheck]:
+    """The checks of ``family``'s records at ``idx``, predicates aside, as
+    full records; given ``emit``, they go there instead."""
     checks = []
-    emit = lambda *args: checks.append(_mk(*args))
-    _thm8_power_checks(emit, sides, m, n)
-    _thm8_spread_checks(emit, sides, n, r)
+    if emit is None:
+        def emit(name, index_args, p, lhs, rhs, _):
+            checks.append(IdentityCheck(name, index_args, p, lhs, rhs, lhs == rhs))
+    _run(FAMILIES[family].records, [idx], sides or PairSides(params), emit)
     return checks
 
 
-def _cross_checks(report: SuiteReport, params: SeqParams, max_index: int, fib, lucas) -> None:
-    for n in range(-max_index, max_index + 1):
-        report.record("lucas-from-fib", (n,), params, *lucas_from_fib_sides(params, n))
-        report.record("fib-from-lucas", (n,), params, *fib_from_lucas_sides(params, n))
-        closed = lucas(n)
-        report.record("det.formula", (n,), params, lucas_det(params, n), closed.det())
-        report.record("entries.l", (n,), params, closed.e12, l(params, n))
-        report.record(
-            "entries.l-scaled", (n,), params, closed.e21, params.a_over_b * l(params, n)
-        )
-        if n >= 1:
-            report.record("cassini", (n,), params, *cassini_lucas_sides(params, n))
+def thm6_suite(params: SeqParams, n: int, *, sides: PairSides | None = None,
+               emit=None) -> list[IdentityCheck]:
+    """Theorem 6's L_0/F_1 product identities at index n (six records; n may
+    be 0 or negative). ``sides``, a :class:`PairSides` for ``params``, shares
+    its sides; ``emit``, such as :meth:`SuiteReport.record`, takes the checks
+    instead of the returned list."""
+    return _view("thm6", params, (n,), sides, emit)
 
-    rec_f = fib_matrix_rec_iter(params)
-    rec_l = lucas_matrix_rec_iter(params)
-    for n in range(0, max_index + 1):
-        cf = fib(n)
-        cl = lucas(n)
-        report.record("triple.fib.rec-closed", (n,), params, next(rec_f), cf)
-        report.record("triple.lucas.rec-closed", (n,), params, next(rec_l), cl)
-        if params.binet_allowed:
-            report.record(
-                "triple.fib.binet-closed", (n,), params,
-                fib_matrix_binet(params, n), cf,
-            )
-            report.record(
-                "triple.lucas.binet-closed", (n,), params,
-                lucas_matrix_binet(params, n), cl,
-            )
-    if not params.binet_allowed:
-        why = f"ab = -4 degenerate (a={params.a}, b={params.b})"
-        report.skipped.append(SkipRecord("triple.fib.binet-closed", why))
-        report.skipped.append(SkipRecord("triple.lucas.binet-closed", why))
+
+def thm6_iii_variant(params: SeqParams, n: int) -> IdentityCheck:
+    """Negative control: the thm6.iii middle member with the ratio inverted,
+    F_1 L_n vs (b/a)^eps(n) (F_{n+2} + F_n). False for every odd n whenever
+    a^2 != b^2 (exponent search over the grid returns -eps(n) uniquely); the
+    true form when b/a is +-1."""
+    return _view("thm6 control", params, (n,))[0]
+
+
+def thm7_suite(params: SeqParams, m: int, n: int, *, sides: PairSides | None = None,
+               emit=None) -> list[IdentityCheck]:
+    """Theorem 7's addition laws F_m F_n, F_m L_n, L_m L_n, commuted and
+    closed (six records). ``sides`` and ``emit`` are as in :func:`thm6_suite`."""
+    return _view("thm7", params, (m, n), sides, emit)
+
+
+def thm8_suite(params: SeqParams, m: int, n: int, r: int) -> list[IdentityCheck]:
+    """Theorem 8's identities for F_n^m and for products at spread n-r, n+r."""
+    if m < 0 or r < 0 or n < r:
+        raise ValueError("need m >= 0 and n >= r >= 0")
+    sides = PairSides(params)
+    return _view("thm8 power", params, (m, n), sides) + _view("thm8 spread", params, (n, r), sides)
 
 
 def run_full_suite(grid, max_index: int, suite: str = "identities",
                    providers=pair_providers) -> SuiteReport:
-    """Run the sequence/matrix cross-checks and the full identity suite over
-    every grid pair for all indices up to max_index.
-
-    Returns counts plus the failing records only; degenerate (ab = -4)
-    pairs skip the Binet comparisons with an annotated reason and run
-    everything else. ``providers(params)`` gives each pair's k -> F_k and
-    k -> L_k.
-    """
+    """Run every family of :data:`FAMILIES` over every grid pair, for all
+    indices up to max_index. Returns counts plus the failing records only;
+    degenerate (ab = -4) pairs skip the Binet rows with a reason. Each
+    pair's k -> F_k and k -> L_k come from ``providers(params)``."""
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     report = SuiteReport(suite=suite, params=list(grid))
-    indices = range(0, max_index + 1)
+    # perfbench traces thm6_suite and thm7_suite by name, and its rot guard
+    # fails if either span reads zero on verify-grid. So these two families
+    # run through their views, looked up by module name on each call and
+    # emitting into the report, until the must-work lists stop naming them.
+    views = {"thm6": thm6_suite, "thm7": thm7_suite}
     for params in report.params:
         # one store per pair, so the pair's shared sides are freed with it
         sides = PairSides(params, *providers(params))
-        fib, lucas = sides.fib, sides.lucas
-        _cross_checks(report, params, max_index, fib, lucas)
-        for n in indices:
-            report.tally(*thm6_suite(params, n, sides=sides))
-        if max_index >= 1 and params.a * params.a != params.b * params.b:
-            report.negative_control(
-                thm6_iii_variant(params, 1, fib, lucas),
-                "negative control: inverted-ratio middle member is "
-                "false at odd n whenever a^2 != b^2",
-            )
-        for m in indices:
-            for n in indices:
-                report.tally(*thm7_suite(params, m, n, sides=sides))
-        for n in indices:
-            for m in indices:
-                _thm8_power_checks(report.record, sides, m, n)
-        for n in indices:
-            for r in range(0, n + 1):
-                _thm8_spread_checks(report.record, sides, n, r)
+        for name, family in FAMILIES.items():
+            indices = family.domain(max_index)
+            if name in views:
+                for idx in indices:
+                    views[name](params, *idx, sides=sides, emit=report.record)
+                continue
+            skipped = {}
+            _run(family.records, indices, sides, report.record, skipped)
+            report.skipped.extend(SkipRecord(check, why.format(p=params))
+                                  for pairs, why in skipped.items() for check, _, _ in pairs)
     return report
 
 
@@ -517,6 +514,8 @@ def run_series_suite(grid, max_index: int, order: int,
     ``order`` coefficients, the truncated inverse-power sum and the closed
     partial sum for n up to max_index, and two negative controls.
     ``providers(params)`` gives each pair's k -> L_k (second item)."""
+    if max_index < 0:
+        raise ValueError("max_index must be >= 0")
     report = SuiteReport(suite="series", params=list(grid))
     for params in report.params:
         _, lucas = providers(params)

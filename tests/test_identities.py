@@ -190,6 +190,11 @@ class TestRunFullSuite:
         with pytest.raises(ValueError):
             run_full_suite([], -1)
 
+    def test_default_grid_check_count(self):
+        report = run_full_suite(default_grid(), 20)
+        assert report.checks_run == 249_793
+        assert report.ok
+
     def test_grid_constants(self):
         grid = default_grid()
         assert len(grid) == 49
@@ -208,6 +213,12 @@ class TestPairSides:
         for m in range(0, 6):
             for n in range(0, 6):
                 assert thm7_suite(p, m, n, sides=sides) == thm7_suite(p, m, n)
+
+    def test_views_emit_into_a_report(self):
+        report = SuiteReport("demo")
+        assert thm6_suite(self.PAIR, 2, emit=report.record) == []
+        assert thm7_suite(self.PAIR, 2, 3, emit=report.record) == []
+        assert (report.checks_run, report.ok) == (12, True)
 
     def test_each_side_is_made_once(self):
         made = []
@@ -265,6 +276,49 @@ class TestFailureRecords:
         )
 
 
+NON_CONTROL_RECORDS = [
+    (family, k) for family, f in identities.FAMILIES.items()
+    for k, record in enumerate(f.records) if record.negctl is None
+]
+
+
+@pytest.mark.parametrize(
+    "family, k", NON_CONTROL_RECORDS,
+    ids=[identities.FAMILIES[f].records[k].checks[0][0] for f, k in NON_CONTROL_RECORDS],
+)
+def test_perturbed_member_fails_exactly_its_records_checks(monkeypatch, family, k):
+    """Shift one member of one table record, the one its checks all read:
+    every check of that record fails wherever it runs, and nothing else."""
+    pair, n_max = SeqParams(F(1, 2), 3), 4
+    clean = run_full_suite([pair], n_max)
+    table = identities.FAMILIES[family]
+    record = table.records[k]
+    (member, *_) = set.intersection(*({i, j} for _, i, j in record.checks))
+    runs = []
+
+    def perturbed(*args):
+        members = list(record.members(*args))
+        shift = Mat2.identity() if isinstance(members[member], Mat2) else 1
+        members[member] += shift
+        runs.append(args[1:])
+        return tuple(members)
+
+    records = list(table.records)
+    records[k] = record._replace(members=perturbed)
+    monkeypatch.setitem(identities.FAMILIES, family, table._replace(records=tuple(records)))
+    report = run_full_suite([pair], n_max)
+    assert report.checks_run == clean.checks_run
+    assert runs
+    assert sorted((c.name, c.index_args) for c in report.failures) == sorted(
+        (name, idx) for name, _, _ in record.checks for idx in runs
+    )
+    assert report.expected_failures == clean.expected_failures
+    doc = report.to_json_dict()
+    back = SuiteReport.from_json_dict(doc)
+    assert back == report
+    assert back.to_json_dict() == doc
+
+
 class TestNegativeControl:
     REASON = "negative control: false by construction"
 
@@ -302,6 +356,10 @@ class TestNegativeControl:
 
 
 class TestSeriesSuite:
+    def test_max_index_validation(self):
+        with pytest.raises(ValueError, match="max_index must be >= 0"):
+            run_series_suite([SeqParams(2, 3)], -1, 8)
+
     def test_counts_and_controls(self):
         report = run_series_suite([SeqParams(2, 3), SeqParams(F(1, 2), 4)], 3, 12)
         # genfunc + finite n=0..3 + infinite + partial sums n=1..3 + 2 controls
