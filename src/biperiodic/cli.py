@@ -17,10 +17,10 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 
 from .exact import Mat2, parse_rational
-from .identities import default_grid, pair_providers, run_full_suite, run_series_suite
+from .identities import default_grid, run_full_suite
 from .matrixseq import (
     fib_matrix_binet,
     fib_matrix_closed,
@@ -198,14 +198,7 @@ def cmd_verify(args) -> int:
         raise CliError("--n-max must be >= 0")
     if args.order < 1:
         raise CliError("order must be >= 1")
-    # pair by pair, so both suites read one cached k -> L_k and the pair's
-    # matrices are freed before the next pair
-    full, series = [], []
-    for params in _resolve_grid(args):
-        providers = cache(pair_providers)
-        full.append(run_full_suite([params], args.n_max, providers=providers))
-        series.append(run_series_suite([params], args.n_max, args.order, providers=providers))
-    report = reduce(lambda x, y: x.merged_with(y, suite="full"), full + series)
+    report = run_full_suite(_resolve_grid(args), args.n_max, "full", args.order)
     doc = report.to_json_dict()
     if args.timestamps:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()

@@ -1,11 +1,11 @@
-"""Exact verification of the product/power identities tying F_n and L_n
-together, the scalar and determinant cross-checks, and the series facts
-(generating function, inverse-power sums, partial sums), with a uniform
-JSON-serializable report.
+"""Exact verification of the paper's identities: the product/power
+identities tying F_n and L_n together, the scalar and determinant
+cross-checks, and the series facts (generating function, inverse-power sums,
+partial sums), with a uniform JSON-serializable report.
 
-The identities are data, the :data:`FAMILIES` table, and one loop runs them.
-Failures are data, not exceptions: a report with a populated ``failures``
-list is still a well-formed result.
+Every check is data, a row of the :data:`FAMILIES` table, and one loop,
+:func:`_run`, evaluates them all. Failures are data, not exceptions: a report
+with a populated ``failures`` list is still a well-formed result.
 """
 
 from __future__ import annotations
@@ -143,10 +143,6 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def tally(self, *checks: IdentityCheck) -> None:
-        self.checks_run += len(checks)
-        self.failures.extend(c for c in checks if not c.holds)
-
     def record(self, name, idx, params, lhs, rhs, negctl: str | None = None) -> None:
         """Count one check; a record is built only if it fails. A check with
         a ``negctl`` reason must fail: see :meth:`negative_control`."""
@@ -167,18 +163,6 @@ class SuiteReport:
             )
         else:
             self.expected_failures.append(ExpectedFailure(check, reason))
-
-    def merged_with(self, other: SuiteReport, suite: str | None = None) -> SuiteReport:
-        params = list(self.params)
-        params.extend(p for p in other.params if p not in params)
-        return SuiteReport(
-            suite=suite if suite is not None else self.suite,
-            params=params,
-            checks_run=self.checks_run + other.checks_run,
-            failures=self.failures + other.failures,
-            skipped=self.skipped + other.skipped,
-            expected_failures=self.expected_failures + other.expected_failures,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -215,23 +199,15 @@ class SuiteReport:
             raise ReportFormatError(f"malformed suite report: {exc!r}") from exc
 
 
-def pair_providers(params):
-    """k -> F_k and k -> L_k by the closed form, each index computed once.
-    The suite runners take it as their ``providers``; a cached copy shared
-    by two runs builds each matrix once."""
-    return (cache(lambda k: fib_matrix_closed(params, k)),
-            cache(lambda k: lucas_matrix_closed(params, k)))
-
-
 class PairSides:
     """The matrix sides one pair's checks share, each computed once.
 
-    ``fib`` and ``lucas`` are the pair's providers, both or neither given
-    (default :func:`pair_providers`), and ``fib_ab4`` maps k to (ab+4) F_k.
-    For such terms X and Y the store keeps the products X_i Y_j, the powers
-    X_k^m, the scaled sides (b/a)^e X_k^m and the terms of each one-step
-    walk it reads, so a side that several checks share is made once. Build
-    one per pair and drop it with the pair.
+    ``fib`` and ``lucas`` map k to F_k and L_k, both or neither given
+    (default: the closed form, each index computed once), and ``fib_ab4``
+    maps k to (ab+4) F_k. For such terms X and Y the store keeps the
+    products X_i Y_j, the powers X_k^m, the scaled sides (b/a)^e X_k^m and
+    the terms of each one-step walk it reads, so a side that several checks
+    share is made once. Build one per pair and drop it with the pair.
     """
 
     __slots__ = ("params", "by", "fib", "lucas", "fib_ab4",
@@ -239,7 +215,8 @@ class PairSides:
 
     def __init__(self, params: SeqParams, fib=None, lucas=None):
         if fib is None:
-            fib, lucas = pair_providers(params)
+            fib = cache(lambda k: fib_matrix_closed(params, k))
+            lucas = cache(lambda k: lucas_matrix_closed(params, k))
         self.params, self.fib, self.lucas = params, fib, lucas
         self.by = params.ratio_times
         ab4 = params.ab + 4
@@ -254,11 +231,13 @@ class PairSides:
         return value
 
     def power(self, term, k: int, m: int) -> Mat2:
-        """term(k) ** m for m >= 0: the square is a product, and a higher
-        power is grown as term(k) ** (m-1) * term(k), so a run over
-        increasing m costs one multiply per step."""
+        """term(k) ** m for m >= 0 (ValueError for m < 0): the square is a
+        product, and a higher power is grown as term(k) ** (m-1) * term(k),
+        so a run over increasing m costs one multiply per step."""
         value = self._powers.get((term, k, m))
         if value is None:
+            if m < 0:
+                raise ValueError("a power needs m >= 0")
             value = self._powers[term, k, m] = (
                 self.power(term, k, m - 1) * term(k) if m > 2
                 else self.product(term, k, term, k) if m == 2
@@ -274,7 +253,8 @@ class PairSides:
 
     def walked(self, start, k: int) -> Mat2:
         """Term k >= 0 of the one-step walk ``start(params)``, such as
-        :func:`fib_matrix_rec_iter`: started once, its terms kept."""
+        :func:`fib_matrix_rec_iter` or :func:`direct_partial_sums`: started
+        once, its terms kept."""
         if start not in self._walks:
             self._walks[start] = ([], start(self.params))
         terms, steps = self._walks[start]
@@ -288,36 +268,73 @@ class Record(NamedTuple):
     checked equality ``(name, i, j)`` of members i and j, so a chained or
     commuted relation fails check by check. Where ``when(sides, *indices)``
     is false the suite skips it, reporting a ``skip`` reason once per pair.
-    A ``negctl`` record is false by construction: its checks must fail."""
+    A ``negctl`` record is false by construction: its checks must fail. If
+    ``extra`` is set, member ``extra`` is a tuple of indices its checks
+    report after the domain's, such as where a series first differs."""
 
     members: Callable[..., tuple]
     checks: tuple[tuple[str, int, int], ...]
     when: Callable[..., bool] | None = None
     skip: str | None = None
     negctl: str | None = None
+    extra: int | None = None
 
 
 class Family(NamedTuple):
-    """Records run at each index tuple of ``domain(max_index)``, in order."""
+    """Records run at each index tuple of ``domain(max_index, order)``, in
+    order. A ``series`` family needs a series order, and a suite lists its
+    output after that of every pair's other families."""
 
-    domain: Callable[[int], list[tuple[int, ...]]]
+    domain: Callable[[int, int | None], list[tuple[int, ...]]]
     records: tuple[Record, ...]
+    series: bool = False
 
 
 def _eq(name: str, members, **kw) -> Record:
     return Record(members, ((name, 0, 1),), **kw)
 
 
-_upto = lambda N: [(n,) for n in range(N + 1)]
+def _series(domain, name: str, members, extra: int | None = 2, negctl=None) -> Family:
+    return Family(domain, (_eq(name, members, extra=extra, negctl=negctl),), series=True)
+
+
+def _first_mismatch(s: PairSides, order: int, mismatch, expand, **kw) -> tuple:
+    """The series ``expand`` against L_k at the first k < order where
+    ``mismatch`` finds them apart: (coefficient, L_k, (k,)), with L_k from
+    the recurrence that ``mismatch`` reads, or (None, None, ()) if none."""
+    k = mismatch(s.params, order, **kw)
+    if k is None:
+        return None, None, ()
+    return expand(s.params, order, **kw)[k], s.walked(lucas_matrix_rec_iter, k), (k,)
+
+
+def _finite_sum(s: PairSides, n: int, negative_control: bool = False) -> tuple:
+    """The cleared sides of the truncated inverse-power sum at n, at their
+    first differing exponent e: (lhs, rhs, (e,)), or (None, None, ())."""
+    mismatch = finite_inverse_sum_mismatch(s.params, n, negative_control, s.lucas)
+    if mismatch is None:
+        return None, None, ()
+    e, lhs, rhs = mismatch
+    return lhs, rhs, (e,)
+
+
+_upto = lambda N, _: [(n,) for n in range(N + 1)]
+_at_order = lambda _, order: [(order,)]
 _BINET = dict(when=lambda s, n: s.params.binet_allowed,
               skip="ab = -4 degenerate (a={p.a}, b={p.b})")
 
-# What run_full_suite checks: one family per index domain, in run order. ``s``
-# is the pair's PairSides: s.fib, s.lucas and s.fib_ab4 are k -> F_k, L_k and
-# (ab+4) F_k by the closed form, and s.by(e, x) is (b/a)^e x.
+_NEGCTL_REASON = (
+    "negative control: this transcription variant is false by construction; "
+    "its failure proves the checker can fail"
+)
+
+# What verify checks: one family per index domain, in run order. ``s`` is the
+# pair's PairSides: s.fib, s.lucas and s.fib_ab4 are k -> F_k, L_k and
+# (ab+4) F_k by the closed form, and s.by(e, x) is (b/a)^e x. The series rows
+# call the series functions by their names here, so a rebinding is seen.
 FAMILIES = {
     # scalar forms, determinant and entries of L_n, Cassini; n = -N..N
-    "cross": Family(lambda N: [(n,) for n in range(-N, N + 1)], (
+    "cross": Family(lambda N, _: [(n,) for n in range(-N, N + 1)], (
         _eq("lucas-from-fib", lambda s, n: lucas_from_fib_sides(s.params, n)),
         _eq("fib-from-lucas", lambda s, n: fib_from_lucas_sides(s.params, n)),
         _eq("det.formula", lambda s, n: (lucas_det(s.params, n), s.lucas(n).det())),
@@ -352,7 +369,7 @@ FAMILIES = {
     )),
     # F_1 L_n against (b/a)^eps(n) (F_{n+2} + F_n): false at odd n when
     # a^2 != b^2, the true form when b/a = +-1; n = 1 if N >= 1
-    "thm6 control": Family(lambda N: [(1,)] if N >= 1 else [], (
+    "thm6 control": Family(lambda N, _: [(1,)] if N >= 1 else [], (
         _eq("thm6.iii.negctl",
             lambda s, n: (s.product(s.fib, 1, s.lucas, n), s.by(eps(n), s.fib(n + 2) + s.fib(n))),
             when=lambda s, n: s.params.a ** 2 != s.params.b ** 2,
@@ -360,7 +377,7 @@ FAMILIES = {
                    "false at odd n whenever a^2 != b^2"),
     )),
     # Theorem 7, addition laws, commuted and closed; m, n = 0..N
-    "thm7": Family(lambda N: [(m, n) for m in range(N + 1) for n in range(N + 1)], (
+    "thm7": Family(lambda N, _: [(m, n) for m in range(N + 1) for n in range(N + 1)], (
         Record(lambda s, m, n: (s.product(s.fib, m, s.fib, n), s.product(s.fib, n, s.fib, m),
                                 s.scaled(eps(m * n), s.fib, m + n)),
                (("thm7.i.comm", 0, 1), ("thm7.i.closed", 0, 2))),
@@ -373,7 +390,7 @@ FAMILIES = {
                (("thm7.iii.comm", 0, 1), ("thm7.iii.closed", 0, 2))),
     )),
     # Theorem 8, powers F_n^m (F^0 = I); n = 0..N outer, m = 0..N inner
-    "thm8 power": Family(lambda N: [(m, n) for n in range(N + 1) for m in range(N + 1)], (
+    "thm8 power": Family(lambda N, _: [(m, n) for n in range(N + 1) for m in range(N + 1)], (
         _eq("thm8.i",
             lambda s, m, n: (s.power(s.fib, n, m), s.scaled((m // 2) * eps(n), s.fib, m * n))),
         _eq("thm8.ii", lambda s, m, n: (s.power(s.fib, n + 1, m), s.by(
@@ -381,34 +398,54 @@ FAMILIES = {
         _eq("thm8.v", lambda s, m, n: (s.power(s.lucas, 0, m) * s.fib(m * n), s.by(
             ((m + 1) // 2) * eps(n), s.power(s.lucas, n, m)))),
     )),
-    # Theorem 8, products at spread n - r, n + r; n = 0..N, r = 0..n
-    "thm8 spread": Family(lambda N: [(n, r) for n in range(N + 1) for r in range(n + 1)], (
+    # Theorem 8, products at spread n - r, n + r; n = 0..N, r = 0..n. The
+    # sign (-1)^n is written 1 - 2 eps(n), an int for n < 0 too.
+    "thm8 spread": Family(lambda N, _: [(n, r) for n in range(N + 1) for r in range(n + 1)], (
         Record(lambda s, n, r: (s.product(s.fib, n - r, s.fib, n + r),
                                 s.scaled(eps(n - r), s.fib, 2, n),
-                                s.scaled((-1) ** n * eps(r), s.fib, n, 2)),
+                                s.scaled((1 - 2 * eps(n)) * eps(r), s.fib, n, 2)),
                (("thm8.iii.1", 0, 1), ("thm8.iii.2", 1, 2))),
         _eq("thm8.iv", lambda s, n, r: (s.product(s.lucas, n - r, s.lucas, n + r),
-                                        s.scaled(-(-1) ** n * eps(r), s.lucas, n, 2))),
+                                        s.scaled((2 * eps(n) - 1) * eps(r), s.lucas, n, 2))),
     )),
+    # The series facts of L_k, each reported where it first fails: the
+    # generating function and the full inverse-power sum to ``order``
+    # coefficients, the truncated sum at n = 0..N, the closed partial sum
+    # at n = 1..N against the direct one, and two sign-slipped controls.
+    "genfunc.coeffs": _series(_at_order, "genfunc.coeffs", lambda s, order: _first_mismatch(
+        s, order, first_generating_mismatch, lucas_generating_series)),
+    "invsum.finite": _series(_upto, "invsum.finite", _finite_sum),
+    "invsum.infinite": _series(_at_order, "invsum.infinite", lambda s, order: _first_mismatch(
+        s, order, first_infinite_mismatch, infinite_inverse_sum_series)),
+    "partialsum": _series(lambda N, _: [(n,) for n in range(1, N + 1)], "partialsum", lambda s, n: (
+        lucas_partial_sum(s.params, n, s.lucas), s.walked(direct_partial_sums, n)), extra=None),
+    "invsum.finite.negctl": _series(lambda *_: [(2,)], "invsum.finite.negctl",
+                                    lambda s, n: _finite_sum(s, n, True), negctl=_NEGCTL_REASON),
+    "invsum.infinite.negctl": _series(
+        lambda *_: [(8,)], "invsum.infinite.negctl", lambda s, order: _first_mismatch(
+            s, order, first_infinite_mismatch, infinite_inverse_sum_series, negative_control=True),
+        negctl=_NEGCTL_REASON),
 }
 
 
 def _run(records, indices, sides: PairSides, emit, skipped: dict | None = None) -> None:
-    """The one loop that evaluates table records: at each of ``indices``, each
+    """The one loop that evaluates a check: at each of ``indices``, each
     record makes its members once and passes each check to ``emit(name, idx,
-    params, lhs, rhs, negctl)``. ``skipped``, if given, turns the predicates
-    on and maps each ruled-out record's checks to its skip reason."""
+    params, lhs, rhs, negctl)``, idx extended by the record's ``extra``
+    member if it has one. ``skipped``, if given, turns the predicates on and
+    maps each ruled-out record's checks to its skip reason."""
     params = sides.params
     for idx in indices:
         args = (sides, *idx)
-        for members, pairs, when, skip, negctl in records:
+        for members, pairs, when, skip, negctl, extra in records:
             if when is not None and skipped is not None and not when(*args):
                 if skip is not None:
                     skipped[pairs] = skip
                 continue
             s = members(*args)
+            at = idx if extra is None else idx + s[extra]
             for name, i, j in pairs:
-                emit(name, idx, params, s[i], s[j], negctl)
+                emit(name, at, params, s[i], s[j], negctl)
 
 
 def _view(family: str, params: SeqParams, idx: tuple, sides=None, emit=None) -> list[IdentityCheck]:
@@ -454,15 +491,14 @@ def thm8_suite(params: SeqParams, m: int, n: int, r: int) -> list[IdentityCheck]
     return _view("thm8 power", params, (m, n), sides) + _view("thm8 spread", params, (n, r), sides)
 
 
-def run_full_suite(grid, max_index: int, suite: str = "identities",
-                   providers=pair_providers) -> SuiteReport:
-    """Run every family of :data:`FAMILIES` over every grid pair, for all
-    indices up to max_index. Returns counts plus the failing records only;
-    degenerate (ab = -4) pairs skip the Binet rows with a reason. Each
-    pair's k -> F_k and k -> L_k come from ``providers(params)``."""
+def _suite(grid, max_index: int, order: int | None, suite: str, kinds) -> SuiteReport:
+    """Run each family of :data:`FAMILIES` whose ``series`` flag is in
+    ``kinds`` over every grid pair, one :class:`PairSides` per pair. The
+    series families' output is listed after every pair's other output."""
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     report = SuiteReport(suite=suite, params=list(grid))
+    tail = SuiteReport(suite=suite)
     # perfbench traces thm6_suite and thm7_suite by name, and its rot guard
     # fails if either span reads zero on verify-grid. So these two families
     # run through their views, looked up by module name on each call and
@@ -470,77 +506,39 @@ def run_full_suite(grid, max_index: int, suite: str = "identities",
     views = {"thm6": thm6_suite, "thm7": thm7_suite}
     for params in report.params:
         # one store per pair, so the pair's shared sides are freed with it
-        sides = PairSides(params, *providers(params))
+        sides = PairSides(params)
         for name, family in FAMILIES.items():
-            indices = family.domain(max_index)
+            if family.series not in kinds:
+                continue
+            indices = family.domain(max_index, order)
             if name in views:
                 for idx in indices:
                     views[name](params, *idx, sides=sides, emit=report.record)
                 continue
+            out = tail if family.series else report
             skipped = {}
-            _run(family.records, indices, sides, report.record, skipped)
-            report.skipped.extend(SkipRecord(check, why.format(p=params))
-                                  for pairs, why in skipped.items() for check, _, _ in pairs)
+            _run(family.records, indices, sides, out.record, skipped)
+            out.skipped.extend(SkipRecord(check, why.format(p=params))
+                               for pairs, why in skipped.items() for check, _, _ in pairs)
+    report.checks_run += tail.checks_run
+    report.failures += tail.failures
+    report.skipped += tail.skipped
+    report.expected_failures += tail.expected_failures
     return report
 
 
-_NEGCTL_REASON = (
-    "negative control: this transcription variant is false by construction; "
-    "its failure proves the checker can fail"
-)
+def run_full_suite(grid, max_index: int, suite: str = "identities",
+                   order: int | None = None) -> SuiteReport:
+    """Run every family of :data:`FAMILIES` over every grid pair, for all
+    indices up to max_index, the series families only if a series ``order``
+    is given. Returns counts plus the failing records only; degenerate
+    (ab = -4) pairs skip the Binet rows with a reason."""
+    return _suite(grid, max_index, order, suite, {False, order is not None})
 
 
-def _coefficient_check(name, params, order, lucas, first_mismatch, expand, **kw) -> IdentityCheck:
-    """The series ``expand`` against ``lucas(k)`` at its first mismatch k, if any."""
-    k = first_mismatch(params, order, **kw)
-    if k is None:
-        return IdentityCheck(name, (order,), params, None, None, True)
-    got = expand(params, order, **kw)[k]
-    return IdentityCheck(name, (order, k), params, got, lucas(k), False)
-
-
-def _finite_inverse_sum_check(name, params, n, lucas, negative_control=False) -> IdentityCheck:
-    mismatch = finite_inverse_sum_mismatch(params, n, negative_control, lucas)
-    if mismatch is None:
-        return IdentityCheck(name, (n,), params, None, None, True)
-    exponent, lhs, rhs = mismatch
-    return IdentityCheck(name, (n, exponent), params, lhs, rhs, False)
-
-
-def run_series_suite(grid, max_index: int, order: int,
-                     providers=pair_providers) -> SuiteReport:
+def run_series_suite(grid, max_index: int, order: int) -> SuiteReport:
     """Check the series facts of the Lucas matrix sequence for every grid
     pair: the generating function and the full inverse-power sum to
     ``order`` coefficients, the truncated inverse-power sum and the closed
-    partial sum for n up to max_index, and two negative controls.
-    ``providers(params)`` gives each pair's k -> L_k (second item)."""
-    if max_index < 0:
-        raise ValueError("max_index must be >= 0")
-    report = SuiteReport(suite="series", params=list(grid))
-    for params in report.params:
-        _, lucas = providers(params)
-        report.tally(_coefficient_check(
-            "genfunc.coeffs", params, order, lucas, first_generating_mismatch,
-            lucas_generating_series,
-        ))
-        for n in range(0, max_index + 1):
-            report.tally(_finite_inverse_sum_check("invsum.finite", params, n, lucas))
-        report.tally(_coefficient_check(
-            "invsum.infinite", params, order, lucas, first_infinite_mismatch,
-            infinite_inverse_sum_series,
-        ))
-        sums = islice(direct_partial_sums(params), 1, max_index + 1)
-        for n, direct in enumerate(sums, start=1):
-            report.record("partialsum", (n,), params, lucas_partial_sum(params, n, lucas), direct)
-        report.negative_control(
-            _finite_inverse_sum_check("invsum.finite.negctl", params, 2, lucas, True),
-            _NEGCTL_REASON,
-        )
-        report.negative_control(
-            _coefficient_check(
-                "invsum.infinite.negctl", params, 8, lucas, first_infinite_mismatch,
-                infinite_inverse_sum_series, negative_control=True,
-            ),
-            _NEGCTL_REASON,
-        )
-    return report
+    partial sum for n up to max_index, and two negative controls."""
+    return _suite(grid, max_index, order, "series", {True})

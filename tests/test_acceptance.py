@@ -15,7 +15,6 @@ import pytest
 from biperiodic import cli
 from biperiodic.exact import Mat2
 from biperiodic.identities import (
-    IdentityCheck,
     SuiteReport,
     default_grid,
     run_full_suite,
@@ -198,9 +197,9 @@ def test_criterion_7_cli_contract(capsys, monkeypatch):
     capsys.readouterr()
 
     # exit 1 needs a failing check; every true identity passes, so inject one
-    def fake_suite(grid, max_index, suite="identities", providers=None):
+    def fake_suite(grid, max_index, suite="identities", order=None):
         rep = SuiteReport(suite=suite, params=list(grid))
-        rep.tally(IdentityCheck("forced", (0,), grid[0], None, None, False))
+        rep.record("forced", (0,), grid[0], 0, 1)
         return rep
 
     monkeypatch.setattr(cli, "run_full_suite", fake_suite)

@@ -10,7 +10,7 @@ import pytest
 
 from biperiodic import cli, identities, series
 from biperiodic.exact import Mat2
-from biperiodic.identities import IdentityCheck, SuiteReport
+from biperiodic.identities import SuiteReport
 from biperiodic.sequences import SeqParams
 
 
@@ -355,14 +355,9 @@ class TestVerify:
 
     def test_exit_1_when_a_check_fails(self, capsys, monkeypatch):
         # no true identity ever fails, so force one through the suite runner
-        def fake_suite(grid, max_index, suite="identities", providers=None):
+        def fake_suite(grid, max_index, suite="identities", order=None):
             report = SuiteReport(suite=suite, params=list(grid))
-            report.tally(
-                IdentityCheck(
-                    "thm7.i.closed", (1, 2), grid[0],
-                    None, None, False,
-                )
-            )
+            report.record("thm7.i.closed", (1, 2), grid[0], 1, 2)
             return report
 
         monkeypatch.setattr(cli, "run_full_suite", fake_suite)

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from functools import cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biperiodic import identities
 from biperiodic.exact import Mat2
@@ -160,6 +162,18 @@ class TestThm8:
         with pytest.raises(ValueError):
             thm8_suite(SeqParams(1, 1), -1, 2, 1)
 
+    def test_iv_holds_at_negative_indices(self):
+        # the record's sign (-1)^n is an int at n < 0 too, where a float
+        # power would reach Mat2 as a float factor
+        record = identities.FAMILIES["thm8 spread"].records[1]
+        assert record.checks[0][0] == "thm8.iv"
+        block = [(n, r) for n in range(-5, 6) for r in range(-5, 6)]
+        held = []
+        for p in default_grid():
+            identities._run([record], block, identities.PairSides(p),
+                            lambda name, idx, p, lhs, rhs, _: held.append(lhs == rhs))
+        assert (len(held), all(held)) == (5929, True)
+
 
 class TestRunFullSuite:
     def test_empty_grid(self):
@@ -232,6 +246,11 @@ class TestPairSides:
         assert sides.power(fib, 2, 2) is sides.product(fib, 2, fib, 2)
         assert sorted(made) == [2, 3]
 
+    def test_negative_power_raises(self):
+        sides = identities.PairSides(self.PAIR)
+        with pytest.raises(ValueError, match="m >= 0"):
+            sides.power(sides.fib, 3, -1)
+
 
 class TestFailureRecords:
     """A failing side reaches the report as one full record, and the check
@@ -288,9 +307,10 @@ NON_CONTROL_RECORDS = [
 )
 def test_perturbed_member_fails_exactly_its_records_checks(monkeypatch, family, k):
     """Shift one member of one table record, the one its checks all read:
-    every check of that record fails wherever it runs, and nothing else."""
-    pair, n_max = SeqParams(F(1, 2), 3), 4
-    clean = run_full_suite([pair], n_max)
+    every check of that record fails wherever it runs, and nothing else. A
+    series row that holds reports no sides (None); the shift replaces it."""
+    pair, n_max, order = SeqParams(F(1, 2), 3), 4, 12
+    clean = run_full_suite([pair], n_max, order=order)
     table = identities.FAMILIES[family]
     record = table.records[k]
     (member, *_) = set.intersection(*({i, j} for _, i, j in record.checks))
@@ -298,15 +318,17 @@ def test_perturbed_member_fails_exactly_its_records_checks(monkeypatch, family, 
 
     def perturbed(*args):
         members = list(record.members(*args))
-        shift = Mat2.identity() if isinstance(members[member], Mat2) else 1
-        members[member] += shift
+        if members[member] is None:
+            members[member] = Mat2.identity()
+        else:
+            members[member] += Mat2.identity() if isinstance(members[member], Mat2) else 1
         runs.append(args[1:])
         return tuple(members)
 
     records = list(table.records)
     records[k] = record._replace(members=perturbed)
     monkeypatch.setitem(identities.FAMILIES, family, table._replace(records=tuple(records)))
-    report = run_full_suite([pair], n_max)
+    report = run_full_suite([pair], n_max, order=order)
     assert report.checks_run == clean.checks_run
     assert runs
     assert sorted((c.name, c.index_args) for c in report.failures) == sorted(
@@ -369,6 +391,43 @@ class TestSeriesSuite:
         assert [x.check.name for x in report.expected_failures] == [
             "invsum.finite.negctl", "invsum.infinite.negctl",
         ] * 2
+
+    def test_full_suite_lists_series_output_last(self):
+        grid = [SeqParams(2, 3), SeqParams(F(1, 2), 4)]
+        report = run_full_suite(grid, 3, "full", order=12)
+        series = run_series_suite(grid, 3, 12)
+        assert report.checks_run == run_full_suite(grid, 3).checks_run + series.checks_run
+        assert [(x.check.name, x.check.params) for x in report.expected_failures] == [
+            ("thm6.iii.negctl", grid[0]), ("thm6.iii.negctl", grid[1]),
+            *((x.check.name, x.check.params) for x in series.expected_failures),
+        ]
+        assert report.suite == "full" and report.ok
+
+
+# rationals of up to six digits over up to six digits, and b free, equal to
+# a, equal to -a, or with ab = -4
+RATIONALS = st.builds(F, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
+PAIRS = RATIONALS.flatmap(lambda a: st.one_of(
+    RATIONALS, RATIONALS, st.sampled_from((a, -a, -4 / a))).map(lambda b: SeqParams(a, b)))
+BINET_ROWS = {"triple.fib.binet-closed", "triple.lucas.binet-closed"}
+
+
+@settings(max_examples=47, derandomize=True, deadline=None)
+@example(SeqParams(F(999_983, 1000), F(999_983, 1000)))
+@example(SeqParams(F(-65_537, 3), F(65_537, 3)))
+@example(SeqParams(F(-999_999, 1_000_000), F(4_000_000, 999_999)))
+@given(PAIRS)
+def test_every_family_on_large_rational_pairs(pair):
+    """Every row of FAMILIES, series rows included, holds at n <= 8 and
+    order 12 on pairs far from the grid, and each control fails wherever it
+    applies."""
+    report = run_full_suite([pair], 8, order=12)
+    assert report.ok, report.failures[:3]
+    controls = ["thm6.iii.negctl"] if pair.a ** 2 != pair.b ** 2 else []
+    assert [x.check.name for x in report.expected_failures] == controls + [
+        "invsum.finite.negctl", "invsum.infinite.negctl",
+    ]
+    assert {x.name for x in report.skipped} == (BINET_ROWS if pair.ab == -4 else set())
 
 
 class TestReportSerialization:
