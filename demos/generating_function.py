@@ -16,12 +16,11 @@ from itertools import islice
 from biperiodic import (
     SeqParams,
     finite_inverse_sum_mismatch,
-    first_infinite_mismatch,
     lucas_generating_series,
     lucas_matrix_rec_iter,
     lucas_partial_sum,
 )
-from biperiodic.series import direct_partial_sums
+from biperiodic.series import direct_partial_sums, first_infinite_mismatch
 
 p = SeqParams(F(1, 2), 4)
 print("=" * 72)

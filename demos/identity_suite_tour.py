@@ -7,28 +7,21 @@ Run:  python demos/identity_suite_tour.py
 import json
 from fractions import Fraction as F
 
-from biperiodic import (
-    SeqParams,
-    run_full_suite,
-    thm6_iii_variant,
-    thm6_suite,
-    thm7_suite,
-    thm8_suite,
-)
+from biperiodic import SeqParams, family_checks, run_full_suite
 
 p = SeqParams(2, 3)
 print("=" * 72)
 print(f"Individual identity records, a = {p.a}, b = {p.b}")
 print("=" * 72)
-for check in thm6_suite(p, 3):
+for check in family_checks("thm6", p, 3):
     print(f"  {check.name:<14} n={check.index_args} holds={check.holds}")
-for check in thm7_suite(p, 3, 4):
+for check in family_checks("thm7", p, 3, 4):
     print(f"  {check.name:<14} (m,n)={check.index_args} holds={check.holds}")
-for check in thm8_suite(p, 2, 4, 1):
+for check in family_checks("thm8 power", p, 2, 4) + family_checks("thm8 spread", p, 4, 1):
     print(f"  {check.name:<14} idx={check.index_args} holds={check.holds}")
 print()
 
-variant = thm6_iii_variant(p, 1)
+variant = family_checks("thm6 control", p, 1)[0]
 print("A negative control (inverted middle-member ratio) at odd n:")
 print(f"  {variant.name}: holds={variant.holds}")
 print(f"  lhs = {variant.lhs}")

@@ -7,7 +7,8 @@ Run:  python demos/sequences_tour.py
 
 from fractions import Fraction as F
 
-from biperiodic import SeqParams, fib_from_lucas_sides, l, lucas_from_fib_sides, q
+from biperiodic import SeqParams, l, q
+from biperiodic.sequences import fib_from_lucas_sides, lucas_from_fib_sides
 
 print("=" * 72)
 print("Bi-periodic Fibonacci q_n and Lucas l_n")

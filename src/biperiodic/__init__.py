@@ -15,12 +15,9 @@ from .identities import (
     SkipRecord,
     SuiteReport,
     default_grid,
+    family_checks,
     run_full_suite,
     run_series_suite,
-    thm6_iii_variant,
-    thm6_suite,
-    thm7_suite,
-    thm8_suite,
 )
 from .matrixseq import (
     cassini_lucas_sides,
@@ -34,29 +31,8 @@ from .matrixseq import (
     lucas_matrix_rec,
     lucas_matrix_rec_iter,
 )
-from .sequences import (
-    BinetDegenerate,
-    SeqParams,
-    eps,
-    fib_from_lucas_sides,
-    floor_half,
-    l,
-    l_direct,
-    lucas_from_fib_sides,
-    q,
-    q_direct,
-)
-from .series import (
-    expand_rational,
-    finite_inverse_sum_mismatch,
-    finite_inverse_sum_sides,
-    first_generating_mismatch,
-    first_infinite_mismatch,
-    infinite_inverse_sum_series,
-    inverse_sum_numerator,
-    lucas_generating_series,
-    lucas_partial_sum,
-)
+from .sequences import BinetDegenerate, SeqParams, l, q
+from .series import finite_inverse_sum_mismatch, lucas_generating_series, lucas_partial_sum
 
 __version__ = "0.1.0"
 
@@ -74,24 +50,14 @@ __all__ = [
     "SuiteReport",
     "cassini_lucas_sides",
     "default_grid",
-    "eps",
-    "expand_rational",
-    "fib_from_lucas_sides",
+    "family_checks",
     "fib_matrix_binet",
     "fib_matrix_closed",
     "fib_matrix_rec",
     "fib_matrix_rec_iter",
     "finite_inverse_sum_mismatch",
-    "finite_inverse_sum_sides",
-    "first_generating_mismatch",
-    "first_infinite_mismatch",
-    "floor_half",
-    "infinite_inverse_sum_series",
-    "inverse_sum_numerator",
     "l",
-    "l_direct",
     "lucas_det",
-    "lucas_from_fib_sides",
     "lucas_generating_series",
     "lucas_matrix_binet",
     "lucas_matrix_closed",
@@ -99,11 +65,6 @@ __all__ = [
     "lucas_matrix_rec_iter",
     "lucas_partial_sum",
     "q",
-    "q_direct",
     "run_full_suite",
     "run_series_suite",
-    "thm6_iii_variant",
-    "thm6_suite",
-    "thm7_suite",
-    "thm8_suite",
 ]

@@ -3,9 +3,10 @@ identities tying F_n and L_n together, the scalar and determinant
 cross-checks, and the series facts (generating function, inverse-power sums,
 partial sums), with a uniform JSON-serializable report.
 
-Every check is data, a row of the :data:`FAMILIES` table, and one loop,
-:func:`_run`, evaluates them all. Failures are data, not exceptions: a report
-with a populated ``failures`` list is still a well-formed result.
+Every check is data, a row of the :data:`FAMILIES` table. One loop, :func:`_run`,
+evaluates them all, over a grid for :func:`run_full_suite` and one row at one
+index tuple for :func:`family_checks`. Failures are data, not exceptions: a
+report with a populated ``failures`` list is still a well-formed result.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class IdentityCheck(NamedTuple):
     and whether they are equal. An immutable named tuple: fields by name or
     position, built positionally or by keyword; assigning a field raises
     AttributeError, and ``_replace`` makes a changed copy. A suite report
-    keeps one per failing check; the theorem views return one per check."""
+    keeps one per failing check; :func:`family_checks` returns one per check."""
 
     name: str
     index_args: tuple[int, ...]
@@ -202,21 +203,20 @@ class SuiteReport:
 class PairSides:
     """The matrix sides one pair's checks share, each computed once.
 
-    ``fib`` and ``lucas`` map k to F_k and L_k, both or neither given
-    (default: the closed form, each index computed once), and ``fib_ab4``
-    maps k to (ab+4) F_k. For such terms X and Y the store keeps the
-    products X_i Y_j, the powers X_k^m, the scaled sides (b/a)^e X_k^m and
-    the terms of each one-step walk it reads, so a side that several checks
-    share is made once. Build one per pair and drop it with the pair.
+    ``fib`` and ``lucas`` map k to F_k and L_k by the closed form, each
+    index computed once, and ``fib_ab4`` maps k to (ab+4) F_k. For such
+    terms X and Y the store keeps the products X_i Y_j, the powers X_k^m,
+    the scaled sides (b/a)^e X_k^m and the terms of each one-step walk it
+    reads, so a side that several checks share is made once. Build one per
+    pair and drop it with the pair.
     """
 
     __slots__ = ("params", "by", "fib", "lucas", "fib_ab4",
                  "_products", "_powers", "_scaled", "_walks")
 
-    def __init__(self, params: SeqParams, fib=None, lucas=None):
-        if fib is None:
-            fib = cache(lambda k: fib_matrix_closed(params, k))
-            lucas = cache(lambda k: lucas_matrix_closed(params, k))
+    def __init__(self, params: SeqParams):
+        fib = cache(lambda k: fib_matrix_closed(params, k))
+        lucas = cache(lambda k: lucas_matrix_closed(params, k))
         self.params, self.fib, self.lucas = params, fib, lucas
         self.by = params.ratio_times
         ab4 = params.ab + 4
@@ -448,47 +448,26 @@ def _run(records, indices, sides: PairSides, emit, skipped: dict | None = None) 
                 emit(name, at, params, s[i], s[j], negctl)
 
 
-def _view(family: str, params: SeqParams, idx: tuple, sides=None, emit=None) -> list[IdentityCheck]:
-    """The checks of ``family``'s records at ``idx``, predicates aside, as
-    full records; given ``emit``, they go there instead."""
+def family_checks(family: str, params: SeqParams, *idx: int) -> list[IdentityCheck]:
+    """The checks of the :data:`FAMILIES` row ``family`` at ``idx`` for
+    ``params``, its predicates aside, one :class:`IdentityCheck` per check:
+    ``family_checks("thm7", p, m, n)`` or ``family_checks("thm6", p, n)``."""
     checks = []
-    if emit is None:
-        def emit(name, index_args, p, lhs, rhs, _):
-            checks.append(IdentityCheck(name, index_args, p, lhs, rhs, lhs == rhs))
-    _run(FAMILIES[family].records, [idx], sides or PairSides(params), emit)
+    _run(FAMILIES[family].records, [idx], PairSides(params),
+         lambda name, at, p, lhs, rhs, _: checks.append(
+             IdentityCheck(name, at, p, lhs, rhs, lhs == rhs)))
     return checks
 
 
-def thm6_suite(params: SeqParams, n: int, *, sides: PairSides | None = None,
-               emit=None) -> list[IdentityCheck]:
-    """Theorem 6's L_0/F_1 product identities at index n (six records; n may
-    be 0 or negative). ``sides``, a :class:`PairSides` for ``params``, shares
-    its sides; ``emit``, such as :meth:`SuiteReport.record`, takes the checks
-    instead of the returned list."""
-    return _view("thm6", params, (n,), sides, emit)
+# These two exist for perfbench's must-work list (ROADMAP item 1), which traces
+# them by name and fails if either reads zero on verify-grid. So _suite runs the
+# thm6 and thm7 rows through them, looked up by module name on each run.
+def thm6_suite(params: SeqParams, n: int, *, sides: PairSides, emit) -> None:
+    _run(FAMILIES["thm6"].records, [(n,)], sides, emit)
 
 
-def thm6_iii_variant(params: SeqParams, n: int) -> IdentityCheck:
-    """Negative control: the thm6.iii middle member with the ratio inverted,
-    F_1 L_n vs (b/a)^eps(n) (F_{n+2} + F_n). False for every odd n whenever
-    a^2 != b^2 (exponent search over the grid returns -eps(n) uniquely); the
-    true form when b/a is +-1."""
-    return _view("thm6 control", params, (n,))[0]
-
-
-def thm7_suite(params: SeqParams, m: int, n: int, *, sides: PairSides | None = None,
-               emit=None) -> list[IdentityCheck]:
-    """Theorem 7's addition laws F_m F_n, F_m L_n, L_m L_n, commuted and
-    closed (six records). ``sides`` and ``emit`` are as in :func:`thm6_suite`."""
-    return _view("thm7", params, (m, n), sides, emit)
-
-
-def thm8_suite(params: SeqParams, m: int, n: int, r: int) -> list[IdentityCheck]:
-    """Theorem 8's identities for F_n^m and for products at spread n-r, n+r."""
-    if m < 0 or r < 0 or n < r:
-        raise ValueError("need m >= 0 and n >= r >= 0")
-    sides = PairSides(params)
-    return _view("thm8 power", params, (m, n), sides) + _view("thm8 spread", params, (n, r), sides)
+def thm7_suite(params: SeqParams, m: int, n: int, *, sides: PairSides, emit) -> None:
+    _run(FAMILIES["thm7"].records, [(m, n)], sides, emit)
 
 
 def _suite(grid, max_index: int, order: int | None, suite: str, kinds) -> SuiteReport:
@@ -499,10 +478,6 @@ def _suite(grid, max_index: int, order: int | None, suite: str, kinds) -> SuiteR
         raise ValueError("max_index must be >= 0")
     report = SuiteReport(suite=suite, params=list(grid))
     tail = SuiteReport(suite=suite)
-    # perfbench traces thm6_suite and thm7_suite by name, and its rot guard
-    # fails if either span reads zero on verify-grid. So these two families
-    # run through their views, looked up by module name on each call and
-    # emitting into the report, until the must-work lists stop naming them.
     views = {"thm6": thm6_suite, "thm7": thm7_suite}
     for params in report.params:
         # one store per pair, so the pair's shared sides are freed with it

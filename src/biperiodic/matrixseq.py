@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import IrrationalResidue, Mat2, QuadElement, _from_form
-from .sequences import BinetDegenerate, SeqParams, eps, floor_half, l, l_walk, q, q_walk
+from .sequences import BinetDegenerate, SeqParams, eps, l, l_walk, q, q_walk
 
 
 def _fib_seed(params: SeqParams) -> tuple[Mat2, Mat2]:
@@ -164,7 +164,7 @@ def fib_matrix_binet(params: SeqParams, n: int) -> Mat2:
     _require_binet(params, n)
     a, b, ab = params.a, params.b, params.ab
     f0, f1 = _fib_seed(params)
-    scale = ab ** floor_half(n)
+    scale = ab ** (n // 2)
     if eps(n) == 0:
         return _binet(params, f1, lambda _: a, f0, lambda x: x - ab, n, scale)
     return _binet(params, f1, lambda x: x, f0, lambda _: b, n - 1, scale)
@@ -177,7 +177,7 @@ def lucas_matrix_binet(params: SeqParams, n: int) -> Mat2:
     _require_binet(params, n)
     b, ab = params.b, params.ab
     l0, l1 = _lucas_seed(params)
-    scale = (b ** eps(n)) * (ab ** floor_half(n))
+    scale = (b ** eps(n)) * (ab ** (n // 2))
     return _binet(params, l1, lambda _: b, l0, lambda x: x - ab, n, scale)
 
 
@@ -188,8 +188,9 @@ def lucas_det(params: SeqParams, n: int) -> Fraction:
 
 def cassini_lucas_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:
     """Both sides of
-    (b/a)^eps(n+1) l_{n+1} l_{n-1} - (b/a)^eps(n) l_n^2 = (ab+4) (-1)^(n+1).
+    (b/a)^eps(n+1) l_{n+1} l_{n-1} - (b/a)^eps(n) l_n^2 = (ab+4) (-1)^(n+1),
+    any integer n. The sign is written 1 - 2 eps(n+1), an int for n < 0 too.
     """
     lhs = params.ratio_times(eps(n + 1), l(params, n + 1) * l(params, n - 1))
     lhs -= params.ratio_times(eps(n), l(params, n) ** 2)
-    return lhs, (params.ab + 4) * (-1) ** (n + 1)
+    return lhs, (params.ab + 4) * (1 - 2 * eps(n + 1))

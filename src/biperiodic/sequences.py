@@ -30,11 +30,6 @@ def eps(n: int) -> int:
     return n & 1
 
 
-def floor_half(n: int) -> int:
-    """Floor of n/2, floor semantics for negatives."""
-    return n // 2
-
-
 def alternating_walk(v0, v1, even, odd):
     """Endless v_0, v_1, ... of v_k = c_k v_{k-1} + v_{k-2}, where c_k is
     ``even`` for even k and ``odd`` for odd k; scalars and Mat2 alike."""

@@ -1,7 +1,6 @@
 import copy
 import pickle
 from fractions import Fraction as F
-from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,15 +11,13 @@ from biperiodic.exact import Mat2
 from biperiodic.identities import (
     GRID_VALUES,
     ExpectedFailure,
+    IdentityCheck,
     ReportFormatError,
     SuiteReport,
     default_grid,
+    family_checks,
     run_full_suite,
     run_series_suite,
-    thm6_iii_variant,
-    thm6_suite,
-    thm7_suite,
-    thm8_suite,
 )
 from biperiodic.matrixseq import fib_matrix_closed, lucas_matrix_closed
 from biperiodic.sequences import SeqParams, eps, l, q
@@ -40,21 +37,25 @@ def assert_all_hold(checks):
     assert not bad, bad
 
 
+def thm8(p, m, n, r):
+    return family_checks("thm8 power", p, m, n) + family_checks("thm8 spread", p, n, r)
+
+
 class TestThm6:
     def test_classical_example_n1(self):
         p = SeqParams(1, 1)
         prod = lucas_matrix_closed(p, 0) * fib_matrix_closed(p, 1)
         assert prod == Mat2(3, 1, 1, 2)
         assert prod == lucas_matrix_closed(p, 1)
-        assert_all_hold(thm6_suite(p, 1))
+        assert_all_hold(family_checks("thm6", p, 1))
 
     @pytest.mark.parametrize("p", ASYM, ids=str)
     def test_holds_including_boundary(self, p):
         for n in range(0, 12):
-            assert_all_hold(thm6_suite(p, n))
+            assert_all_hold(family_checks("thm6", p, n))
 
     def test_negative_index(self):
-        assert_all_hold(thm6_suite(SeqParams(2, 3), -3))
+        assert_all_hold(family_checks("thm6", SeqParams(2, 3), -3))
 
     def test_middle_member_exponent_is_unique(self):
         # brute-force derivation of the thm6.iii ratio, as an oracle
@@ -68,13 +69,13 @@ class TestThm6:
 
     def test_variant_fails_at_odd_n_for_skew_ratio(self):
         for p in ASYM:
-            assert not thm6_iii_variant(p, 1).holds
-            assert not thm6_iii_variant(p, 5).holds
-            assert thm6_iii_variant(p, 4).holds  # even n: exponent is 0
+            assert not family_checks("thm6 control", p, 1)[0].holds
+            assert not family_checks("thm6 control", p, 5)[0].holds
+            assert family_checks("thm6 control", p, 4)[0].holds  # even n: exponent is 0
 
     def test_variant_degenerates_when_ratio_is_unit(self):
-        assert thm6_iii_variant(SeqParams(1, 1), 3).holds
-        assert thm6_iii_variant(SeqParams(2, -2), 3).holds
+        assert family_checks("thm6 control", SeqParams(1, 1), 3)[0].holds
+        assert family_checks("thm6 control", SeqParams(2, -2), 3)[0].holds
 
     def test_scalar_shadow_of_first_identity(self):
         # e12 of L_0 F_n = (b/a)^eps(n) L_n reads
@@ -91,21 +92,21 @@ class TestThm7:
         p = SeqParams(1, 1)
         l0 = lucas_matrix_closed(p, 0)
         assert l0 * l0 == Mat2(5, 0, 0, 5)
-        assert_all_hold(thm7_suite(p, 0, 0))
+        assert_all_hold(family_checks("thm7", p, 0, 0))
 
     def test_identity_factor(self):
         p = SeqParams(2, 3)
         for n in range(0, 6):
-            assert_all_hold(thm7_suite(p, 0, n))
+            assert_all_hold(family_checks("thm7", p, 0, n))
 
     @pytest.mark.parametrize("p", ASYM, ids=str)
     def test_holds_on_grid_corner(self, p):
         for m in range(0, 8):
             for n in range(0, 8):
-                assert_all_hold(thm7_suite(p, m, n))
+                assert_all_hold(family_checks("thm7", p, m, n))
 
     def test_example_m3_n4(self):
-        assert_all_hold(thm7_suite(SeqParams(1, 2), 3, 4))
+        assert_all_hold(family_checks("thm7", SeqParams(1, 2), 3, 4))
 
     def test_exponents_are_unique(self):
         p = SeqParams(F(5, 3), F(1, 2))
@@ -129,38 +130,32 @@ class TestThm8:
     def test_first_power_is_trivial(self):
         p = SeqParams(2, 3)
         for n in range(0, 6):
-            checks = {c.name: c for c in thm8_suite(p, 1, n, 0)}
+            checks = {c.name: c for c in thm8(p, 1, n, 0)}
             assert checks["thm8.i"].holds
 
     def test_m_zero_empty_product(self):
         for p in ASYM:
-            assert_all_hold(thm8_suite(p, 0, 3, 2))
+            assert_all_hold(thm8(p, 0, 3, 2))
 
     def test_equal_spread(self):
         # n = r makes the left factor the identity matrix
         p = SeqParams(2, 3)
         for n in range(0, 7):
-            assert_all_hold(thm8_suite(p, 2, n, n))
+            assert_all_hold(thm8(p, 2, n, n))
 
     def test_classical_example(self):
         p = SeqParams(1, 1)
         l0 = lucas_matrix_closed(p, 0)
         l3 = lucas_matrix_closed(p, 3)
         assert l0**2 * fib_matrix_closed(p, 6) == l3**2
-        assert_all_hold(thm8_suite(p, 2, 3, 1))
+        assert_all_hold(thm8(p, 2, 3, 1))
 
     @pytest.mark.parametrize("p", ASYM, ids=str)
     def test_holds_on_block(self, p):
         for m in range(0, 6):
             for n in range(0, 6):
                 for r in range(0, n + 1):
-                    assert_all_hold(thm8_suite(p, m, n, r))
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            thm8_suite(SeqParams(1, 1), 1, 2, 3)
-        with pytest.raises(ValueError):
-            thm8_suite(SeqParams(1, 1), -1, 2, 1)
+                    assert_all_hold(thm8(p, m, n, r))
 
     def test_iv_holds_at_negative_indices(self):
         # the record's sign (-1)^n is an int at n < 0 too, where a float
@@ -220,25 +215,28 @@ class TestPairSides:
     PAIR = SeqParams(F(-3, 2), F(5, 3))
 
     def test_shared_store_gives_the_same_records(self):
-        p = self.PAIR
-        sides = identities.PairSides(p)
+        # the runner's path: one store for the pair, each check sent to emit
+        p, sides, got, want = self.PAIR, identities.PairSides(self.PAIR), [], []
+        emit = lambda name, idx, q, lhs, rhs, _: got.append(
+            IdentityCheck(name, idx, q, lhs, rhs, lhs == rhs))
         for n in range(-4, 7):
-            assert thm6_suite(p, n, sides=sides) == thm6_suite(p, n)
+            identities.thm6_suite(p, n, sides=sides, emit=emit)
+            want += family_checks("thm6", p, n)
         for m in range(0, 6):
             for n in range(0, 6):
-                assert thm7_suite(p, m, n, sides=sides) == thm7_suite(p, m, n)
+                identities.thm7_suite(p, m, n, sides=sides, emit=emit)
+                want += family_checks("thm7", p, m, n)
+        assert got == want
+        assert (len(got), all(c.holds for c in got)) == (11 * 6 + 36 * 6, True)
 
-    def test_views_emit_into_a_report(self):
-        report = SuiteReport("demo")
-        assert thm6_suite(self.PAIR, 2, emit=report.record) == []
-        assert thm7_suite(self.PAIR, 2, 3, emit=report.record) == []
-        assert (report.checks_run, report.ok) == (12, True)
-
-    def test_each_side_is_made_once(self):
+    def test_each_side_is_made_once(self, monkeypatch):
         made = []
-        fib, lucas = (cache(lambda k, t=t: made.append(k) or t(self.PAIR, k))
-                      for t in (fib_matrix_closed, lucas_matrix_closed))
-        sides = identities.PairSides(self.PAIR, fib, lucas)
+        for name in ("fib_matrix_closed", "lucas_matrix_closed"):
+            closed = getattr(identities, name)
+            monkeypatch.setattr(identities, name,
+                                lambda p, k, closed=closed: made.append(k) or closed(p, k))
+        sides = identities.PairSides(self.PAIR)
+        fib, lucas = sides.fib, sides.lucas
         first = sides.product(fib, 2, lucas, 3)
         assert sides.product(fib, 2, lucas, 3) is first
         assert sides.scaled(1, lucas, 3) is sides.scaled(1, lucas, 3)
@@ -346,7 +344,7 @@ class TestNegativeControl:
 
     def test_failing_control_is_an_expected_failure(self):
         report = SuiteReport("demo")
-        check = thm6_iii_variant(SeqParams(2, 3), 1)
+        check = family_checks("thm6 control", SeqParams(2, 3), 1)[0]
         assert not check.holds
         report.negative_control(check, self.REASON)
         assert report.checks_run == 1
@@ -355,7 +353,7 @@ class TestNegativeControl:
 
     def test_holding_control_is_a_failure(self):
         report = SuiteReport("demo")
-        check = thm6_iii_variant(SeqParams(2, 3), 4)  # even n: the ratio drops out
+        check = family_checks("thm6 control", SeqParams(2, 3), 4)[0]  # even n: the ratio drops out
         assert check.holds
         report.negative_control(check, self.REASON)
         assert report.checks_run == 1

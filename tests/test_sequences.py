@@ -14,7 +14,6 @@ from biperiodic.sequences import (
     SeqParams,
     eps,
     fib_from_lucas_sides,
-    floor_half,
     l,
     l_direct,
     lucas_from_fib_sides,
@@ -79,10 +78,6 @@ class TestParityHelpers:
     @pytest.mark.parametrize("n,expected", [(1, 1), (0, 0), (-3, 1), (-4, 0), (7, 1)])
     def test_eps(self, n, expected):
         assert eps(n) == expected
-
-    @pytest.mark.parametrize("n,expected", [(5, 2), (4, 2), (-1, -1), (-4, -2), (0, 0)])
-    def test_floor_half(self, n, expected):
-        assert floor_half(n) == expected
 
 
 class TestScalarKernels:
