@@ -4,7 +4,9 @@ Subcommands: ``term`` (one value), ``table`` (a range), ``series``
 (generating-function coefficients vs recurrence terms), ``verify`` (the full
 machine-verification suite as a JSON report).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure or stdout closed early, 2
+usage or validation error. ``term``, ``table`` and ``series`` write each
+row as soon as it is made.
 All rationals cross the wire as exact "p/q" strings. Output is deterministic
 unless --timestamps is given. Note argparse needs the ``--a=-3/2`` form for
 negative values.
@@ -14,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
 
-from .exact import Mat2, parse_rational
+from .exact import Mat2, _spelled, parse_rational
 from .identities import default_grid, run_full_suite
 from .matrixseq import (
     fib_matrix_binet,
@@ -63,16 +66,24 @@ def _resolve_source(source: str | None, kind: str) -> str:
     return source or "closed"
 
 
+def _route(params: SeqParams, kind: str, source: str, first: int):
+    """n -> the value of ``kind`` at n by ``source``, after checking that
+    the source serves every n >= first, so a rejected range writes nothing."""
+    if kind in SCALAR_KINDS:
+        return lambda n: (q if kind == "fib" else l)(params, n)
+    if source in ("rec", "binet") and first < 0:
+        raise CliError(f"source '{source}' requires n >= 0; use --source closed")
+    if source == "binet" and not params.binet_allowed:
+        raise CliError("ab = -4 is degenerate: alpha = beta, Binet route unavailable")
+    return lambda n: _matrix_value(params, kind, n, source)
+
+
 def _matrix_value(params: SeqParams, kind: str, n: int, source: str) -> Mat2:
     rec, closed, binet = (
         (fib_matrix_rec, fib_matrix_closed, fib_matrix_binet)
         if kind == "fib-matrix"
         else (lucas_matrix_rec, lucas_matrix_closed, lucas_matrix_binet)
     )
-    if source in ("rec", "binet") and n < 0:
-        raise CliError(f"source '{source}' requires n >= 0; use --source closed")
-    if source == "binet" and not params.binet_allowed:
-        raise CliError("ab = -4 is degenerate: alpha = beta, Binet route unavailable")
     if source == "closed":
         return closed(params, n)
     if source == "rec":
@@ -89,41 +100,55 @@ def _matrix_value(params: SeqParams, kind: str, n: int, source: str) -> Mat2:
     return values[0]
 
 
-def _values(params: SeqParams, kind: str, indices, source: str) -> list[tuple]:
-    if kind in SCALAR_KINDS:
-        return [(n, q(params, n) if kind == "fib" else l(params, n)) for n in indices]
-    return [(n, _matrix_value(params, kind, n, source)) for n in indices]
+def _text(value, fmt: str) -> str:
+    """A Fraction, Mat2 or bool as one field of a ``fmt`` row."""
+    if fmt == "plain":
+        return str(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, Mat2):
+        matrix = '[["{}","{}"],["{}","{}"]]' if fmt == "json" else "{},{},{},{}"
+        return matrix.format(*_spelled(value))
+    return f'"{value}"' if fmt == "json" else str(value)
 
 
-def _matrix_json(m: Mat2) -> list[list[str]]:
-    return [[str(e) for e in row] for row in m.rows()]
+def _write_rows(fmt: str, header: str, rows) -> None:
+    """Write each (index, {key: value}) of ``rows`` to stdout as soon as it
+    is made: csv lines after ``header``, one JSON array of objects, or plain
+    "index: value" lines (``key=value`` fields when a row has several)."""
+    write = sys.stdout.write
+    if fmt == "csv":
+        write(header + "\n")
+    elif fmt == "json":
+        write("[")
+    for i, (n, fields) in enumerate(rows):
+        texts = [_text(v, fmt) for v in fields.values()]
+        if fmt == "csv":
+            line = ",".join([str(n), *texts]) + "\n"
+        elif fmt == "json":
+            body = ",".join(f'"{key}":{t}' for key, t in zip(fields, texts))
+            line = f'{"," if i else ""}{{"index":{n},{body}}}'
+        elif len(texts) == 1:
+            line = f"{n}: {texts[0]}\n"
+        else:
+            line = f"{n}: " + " ".join(f"{key}={t}" for key, t in zip(fields, texts)) + "\n"
+        write(line)
+    if fmt == "json":
+        write("]\n")
 
 
-def _csv_lines(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows])
-
-
-def _values_csv(kind: str, values) -> str:
-    if kind in SCALAR_KINDS:
-        return _csv_lines("index,value", [f"{n},{v}" for n, v in values])
-    return _csv_lines(
-        "index,e11,e12,e21,e22",
-        [f"{n},{m.e11},{m.e12},{m.e21},{m.e22}" for n, m in values],
-    )
+def _header(kind: str) -> str:
+    return "index,value" if kind in SCALAR_KINDS else "index,e11,e12,e21,e22"
 
 
 def cmd_term(args) -> int:
     params = _make_params(args.a, args.b)
     source = _resolve_source(args.source, args.kind)
-    values = _values(params, args.kind, [args.n], source)
-    if args.format == "json":
-        render = str if args.kind in SCALAR_KINDS else _matrix_json
-        out = json.dumps(render(values[0][1]), separators=(",", ":"))
-    elif args.format == "csv":
-        out = _values_csv(args.kind, values)
+    value = _route(params, args.kind, source, args.n)(args.n)
+    if args.format == "csv":
+        _write_rows("csv", _header(args.kind), [(args.n, {"value": value})])
     else:
-        out = str(values[0][1])
-    print(out)
+        sys.stdout.write(_text(value, args.format) + "\n")
     return 0
 
 
@@ -132,17 +157,10 @@ def cmd_table(args) -> int:
     source = _resolve_source(args.source, args.kind)
     if args.n_max < args.n:
         raise CliError("--n-max must be >= --n")
-    values = _values(params, args.kind, range(args.n, args.n_max + 1), source)
-    if args.format == "json":
-        key, render = ("value", str) if args.kind in SCALAR_KINDS else ("matrix", _matrix_json)
-        out = json.dumps(
-            [{"index": n, key: render(v)} for n, v in values], separators=(",", ":")
-        )
-    elif args.format == "csv":
-        out = _values_csv(args.kind, values)
-    else:
-        out = "\n".join(f"{n}: {v}" for n, v in values)
-    print(out)
+    value = _route(params, args.kind, source, args.n)
+    key = "value" if args.kind in SCALAR_KINDS else "matrix"
+    rows = ((n, {key: value(n)}) for n in range(args.n, args.n_max + 1))
+    _write_rows(args.format, _header(args.kind), rows)
     return 0
 
 
@@ -151,37 +169,9 @@ def cmd_series(args) -> int:
         raise CliError("order must be >= 1")
     params = _make_params(args.a, args.b)
     expansion = lucas_generating_series(params, args.order)
-    rows = []
-    for k, (coeff, term) in enumerate(zip(expansion, lucas_matrix_rec_iter(params))):
-        rows.append((k, coeff, term, coeff == term))
-    if args.format == "json":
-        out = json.dumps(
-            [
-                {
-                    "index": k,
-                    "series": _matrix_json(c),
-                    "recurrence": _matrix_json(t),
-                    "match": ok,
-                }
-                for k, c, t, ok in rows
-            ],
-            separators=(",", ":"),
-        )
-    elif args.format == "csv":
-        header = "index,s11,s12,s21,s22,r11,r12,r21,r22,match"
-        out = _csv_lines(
-            header,
-            [
-                f"{k},{c.e11},{c.e12},{c.e21},{c.e22},"
-                f"{t.e11},{t.e12},{t.e21},{t.e22},{str(ok).lower()}"
-                for k, c, t, ok in rows
-            ],
-        )
-    else:
-        out = "\n".join(
-            f"{k}: series={c} recurrence={t} match={ok}" for k, c, t, ok in rows
-        )
-    print(out)
+    rows = ((k, {"series": c, "recurrence": t, "match": c == t})
+            for k, (c, t) in enumerate(zip(expansion, lucas_matrix_rec_iter(params))))
+    _write_rows(args.format, "index,s11,s12,s21,s22,r11,r12,r21,r22,match", rows)
     return 0
 
 
@@ -280,10 +270,18 @@ def main(argv=None) -> int:
         old_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does. As the Python docs'
+        # SIGPIPE note advises, point stdout at devnull so that the flush at
+        # exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         if limited:
             sys.set_int_max_str_digits(old_limit)

@@ -264,7 +264,18 @@ class Mat2:
         return f"Mat2({self.e11!r}, {self.e12!r}, {self.e21!r}, {self.e22!r})"
 
     def __str__(self) -> str:
-        return f"[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"
+        return "[[{}, {}], [{}, {}]]".format(*_spelled(self))
+
+
+def _spelled(m: Mat2) -> tuple[str, str, str, str]:
+    """The text ``str(Fraction)`` gives each entry, read from the integer
+    form with one gcd per entry and no Fraction built."""
+    *numerators, d = m._form
+    texts = []
+    for n in numerators:
+        g = gcd(n, d)
+        texts.append(str(n // g) if g == d else f"{n // g}/{d // g}")
+    return tuple(texts)
 
 
 def _from_form(form: IntForm) -> Mat2:

@@ -17,7 +17,7 @@ from functools import cache
 from itertools import islice
 from typing import Callable, NamedTuple
 
-from .exact import Mat2, parse_rational
+from .exact import Mat2, _spelled, parse_rational
 from .matrixseq import (
     cassini_lucas_sides,
     fib_matrix_binet,
@@ -85,7 +85,8 @@ def render_value(v):
     if v is None:
         return None
     if isinstance(v, Mat2):
-        return [[str(v.e11), str(v.e12)], [str(v.e21), str(v.e22)]]
+        e11, e12, e21, e22 = _spelled(v)
+        return [[e11, e12], [e21, e22]]
     return str(v)
 
 
@@ -450,8 +451,16 @@ def _run(records, indices, sides: PairSides, emit, skipped: dict | None = None) 
 
 def family_checks(family: str, params: SeqParams, *idx: int) -> list[IdentityCheck]:
     """The checks of the :data:`FAMILIES` row ``family`` at ``idx`` for
-    ``params``, its predicates aside, one :class:`IdentityCheck` per check:
-    ``family_checks("thm7", p, m, n)`` or ``family_checks("thm6", p, n)``."""
+    ``params``, one :class:`IdentityCheck` per check: ``family_checks("thm7",
+    p, m, n)`` or ``family_checks("thm6", p, n)``. Its predicates are set
+    aside, so the ``triple`` row raises ``BinetDegenerate`` at ab = -4.
+    Raises ValueError for an unknown family or a wrong number of indices."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; one of {', '.join(map(repr, FAMILIES))}")
+    # every domain holds an index tuple at N = 1
+    arity = len(FAMILIES[family].domain(1, 1)[0])
+    if len(idx) != arity:
+        raise ValueError(f"family {family!r} takes {arity} indices, not {len(idx)}")
     checks = []
     _run(FAMILIES[family].records, [idx], PairSides(params),
          lambda name, at, p, lhs, rhs, _: checks.append(

@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -242,6 +244,85 @@ class TestTable:
             "--n", "0", "--n-max", "2", "--format", "csv",
         )
         assert "\r" not in out
+
+
+# Every exit-2 call of TestTerm and TestTable, and the range checks a table
+# makes before its first row
+REJECTED = [
+    ["term", "--kind", "fib", "--a", "0", "--b", "1", "--n", "3"],
+    ["term", "--kind", "fib", "--a", "x", "--b", "1", "--n", "1"],
+    ["term", "--kind", "fib", "--a", "0.5", "--b", "1", "--n", "3"],
+    ["term", "--kind", "fib", "--a", "1", "--b", "1", "--n", "3", "--source", "binet"],
+    ["term", "--kind", "lucas-matrix", "--a", "2", "--b=-2", "--n", "3", "--source", "binet"],
+    ["term", "--kind", "fib-matrix", "--a", "1", "--b", "1", "--n", "-2", "--source", "rec"],
+    ["table", "--kind", "lucas", "--a", "1", "--b", "1", "--n", "3", "--n-max", "2"],
+    ["table", "--kind", "fib", "--a", "1", "--b", "1", "--n", "0", "--n-max", "4",
+     "--source", "closed"],
+    ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=-5", "--n-max=-3",
+     "--source", "rec"],
+    ["table", "--kind", "fib-matrix", "--a", "1", "--b", "1", "--n=-1", "--n-max", "4",
+     "--source", "binet"],
+    ["table", "--kind", "lucas-matrix", "--a", "2", "--b=-2", "--n", "0", "--n-max", "4",
+     "--source", "binet"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+def test_rejected_call_prints_nothing(capsys, argv, fmt):
+    try:
+        code = cli.main([*argv, "--format", fmt])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err
+
+
+def test_closed_pipe_exits_1_quietly():
+    # the table is megabytes long, so the reader closes it mid-stream
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biperiodic", "table", "--kind", "fib", "--a", "1",
+         "--b", "1", "--n", "0", "--n-max", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    with proc.stdout, proc.stderr:
+        assert proc.stdout.read(16) == b"index,value\n0,0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+
+
+class _ByteCounter:
+    """A stdout that keeps nothing but the number of bytes written to it."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_table_holds_one_row_not_the_range():
+    # the memo still holds every q_n and l_n, so this bounds the rows kept
+    # beside it: building the whole table first peaks at about 5x its size
+    sink = _ByteCounter()
+    argv = ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=-700",
+            "--n-max", "700", "--format", "json", "--source", "closed"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < sink.written
 
 
 class TestSeries:

@@ -20,7 +20,7 @@ from biperiodic.identities import (
     run_series_suite,
 )
 from biperiodic.matrixseq import fib_matrix_closed, lucas_matrix_closed
-from biperiodic.sequences import SeqParams, eps, l, q
+from biperiodic.sequences import BinetDegenerate, SeqParams, eps, l, q
 
 ASYM = [SeqParams(2, 3), SeqParams(F(1, 2), 4), SeqParams(F(5, 3), F(1, 2)), SeqParams(3, -1)]
 
@@ -548,3 +548,29 @@ class TestIdentityCheckRecord:
         assert type(failure) is identities.IdentityCheck
         assert failure == check._replace(name="ctl.unexpectedly-true", holds=False)
         assert (check.name, check.holds) == ("ctl", True)
+
+
+class TestFamilyChecksArguments:
+    def test_unknown_family_is_named(self):
+        with pytest.raises(ValueError, match="unknown family 'thm9'"):
+            family_checks("thm9", SeqParams(2, 3), 1)
+
+    @pytest.mark.parametrize("family, idx, arity", [
+        ("thm7", (1,), 2), ("thm6", (1, 2), 1), ("thm8 spread", (), 2),
+        ("genfunc.coeffs", (8, 1), 1),
+    ])
+    def test_wrong_index_count_is_named(self, family, idx, arity):
+        message = f"family '{family}' takes {arity} indices, not {len(idx)}"
+        with pytest.raises(ValueError, match=message):
+            family_checks(family, SeqParams(2, 3), *idx)
+
+    def test_every_family_takes_its_domain_tuples(self):
+        p = SeqParams(2, 3)
+        for name, family in identities.FAMILIES.items():
+            for idx in family.domain(2, 4):
+                assert family_checks(name, p, *idx)
+
+    def test_binet_checks_raise_at_ab_minus_4(self):
+        # the predicates that skip them in a suite are set aside
+        with pytest.raises(BinetDegenerate):
+            family_checks("triple", SeqParams(2, -2), 3)
