@@ -58,20 +58,19 @@ def _make_params(a: Fraction, b: Fraction) -> SeqParams:
         raise CliError(str(exc)) from None
 
 
-def _resolve_source(source: str | None, kind: str) -> str:
-    if kind in SCALAR_KINDS:
-        if source not in (None, "rec"):
-            raise CliError("--source applies to matrix kinds only")
-        return "rec"
-    return source or "closed"
-
-
-def _route(params: SeqParams, kind: str, source: str, first: int):
-    """n -> the value of ``kind`` at n by ``source``, after checking that
-    the source serves every n >= first, so a rejected range writes nothing."""
+def _route(args, last: int):
+    """n -> the value of ``args.kind`` at n, after every check of the range
+    ``args.n``..``last`` against its source, so a rejected call writes nothing."""
+    params = _make_params(args.a, args.b)
+    kind, source = args.kind, args.source
+    if kind in SCALAR_KINDS and source not in (None, "rec"):
+        raise CliError("--source applies to matrix kinds only")
+    if last < args.n:
+        raise CliError("--n-max must be >= --n")
     if kind in SCALAR_KINDS:
         return lambda n: (q if kind == "fib" else l)(params, n)
-    if source in ("rec", "binet") and first < 0:
+    source = source or "closed"
+    if source in ("rec", "binet") and args.n < 0:
         raise CliError(f"source '{source}' requires n >= 0; use --source closed")
     if source == "binet" and not params.binet_allowed:
         raise CliError("ab = -4 is degenerate: alpha = beta, Binet route unavailable")
@@ -142,9 +141,7 @@ def _header(kind: str) -> str:
 
 
 def cmd_term(args) -> int:
-    params = _make_params(args.a, args.b)
-    source = _resolve_source(args.source, args.kind)
-    value = _route(params, args.kind, source, args.n)(args.n)
+    value = _route(args, args.n)(args.n)
     if args.format == "csv":
         _write_rows("csv", _header(args.kind), [(args.n, {"value": value})])
     else:
@@ -153,11 +150,7 @@ def cmd_term(args) -> int:
 
 
 def cmd_table(args) -> int:
-    params = _make_params(args.a, args.b)
-    source = _resolve_source(args.source, args.kind)
-    if args.n_max < args.n:
-        raise CliError("--n-max must be >= --n")
-    value = _route(params, args.kind, source, args.n)
+    value = _route(args, args.n_max)
     key = "value" if args.kind in SCALAR_KINDS else "matrix"
     rows = ((n, {key: value(n)}) for n in range(args.n, args.n_max + 1))
     _write_rows(args.format, _header(args.kind), rows)
