@@ -225,7 +225,7 @@ class Mat2:
         return _from_form((-n11, -n12, -n21, -n22, d))
 
     def __mul__(self, other) -> Mat2:
-        if isinstance(other, Mat2):
+        if type(other) is Mat2 or isinstance(other, Mat2):
             return _mul_forms(self._form, other._form)
         if isinstance(other, (int, Fraction)):
             return _scale_form(self._form, other.numerator, other.denominator)
@@ -295,7 +295,7 @@ def _mul_forms(x: IntForm, y: IntForm) -> Mat2:
     n21 = a21 * b11 + a22 * b21
     n22 = a21 * b12 + a22 * b22
     # denominator first: gcd stops dividing once the running value is 1
-    g = gcd(d, n11, n12, n21, n22)
+    g = 1 if d == 1 else gcd(d, n11, n12, n21, n22)
     if g == 1:
         return _from_form((n11, n12, n21, n22, d))
     return _from_form((n11 // g, n12 // g, n21 // g, n22 // g, d // g))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -30,6 +30,7 @@ from .matrixseq import (
 )
 from .sequences import SeqParams, eps, fib_from_lucas_sides, l, lucas_from_fib_sides
 from .series import (
+    cleared_inverse_sums,
     direct_partial_sums,
     finite_inverse_sum_mismatch,
     first_generating_mismatch,
@@ -252,13 +253,14 @@ class PairSides:
             value = self._scaled[e, term, k, m] = self.by(e, self.power(term, k, m))
         return value
 
-    def walked(self, start, k: int) -> Mat2:
-        """Term k >= 0 of the one-step walk ``start(params)``, such as
+    def walked(self, start, k: int, *args):
+        """Term k >= 0 of the one-step walk ``start(params, *args)``, such as
         :func:`fib_matrix_rec_iter` or :func:`direct_partial_sums`: started
-        once, its terms kept."""
-        if start not in self._walks:
-            self._walks[start] = ([], start(self.params))
-        terms, steps = self._walks[start]
+        once per ``(start, *args)``, its terms kept."""
+        key = (start, *args)
+        if key not in self._walks:
+            self._walks[key] = ([], start(self.params, *args))
+        terms, steps = self._walks[key]
         terms.extend(islice(steps, max(0, k + 1 - len(terms))))
         return terms[k]
 
@@ -300,19 +302,21 @@ def _series(domain, name: str, members, extra: int | None = 2, negctl=None) -> F
 
 
 def _first_mismatch(s: PairSides, order: int, mismatch, expand, **kw) -> tuple:
-    """The series ``expand`` against L_k at the first k < order where
-    ``mismatch`` finds them apart: (coefficient, L_k, (k,)), with L_k from
-    the recurrence that ``mismatch`` reads, or (None, None, ()) if none."""
-    k = mismatch(s.params, order, **kw)
+    """The series ``expand`` against L_k of the pair's walk at the first k <
+    order where ``mismatch`` finds them apart: (coefficient, L_k, (k,)), or
+    (None, None, ()); long division is prefix-stable, so k + 1 suffice."""
+    rec = partial(s.walked, lucas_matrix_rec_iter)
+    k = mismatch(s.params, order, lucas=rec, **kw)
     if k is None:
         return None, None, ()
-    return expand(s.params, order, **kw)[k], s.walked(lucas_matrix_rec_iter, k), (k,)
+    return expand(s.params, k + 1, **kw)[k], rec(k), (k,)
 
 
 def _finite_sum(s: PairSides, n: int, negative_control: bool = False) -> tuple:
     """The cleared sides of the truncated inverse-power sum at n, at their
     first differing exponent e: (lhs, rhs, (e,)), or (None, None, ())."""
-    mismatch = finite_inverse_sum_mismatch(s.params, n, negative_control, s.lucas)
+    lhs = s.walked(cleared_inverse_sums, n, s.lucas)
+    mismatch = finite_inverse_sum_mismatch(s.params, n, negative_control, s.lucas, lhs)
     if mismatch is None:
         return None, None, ()
     e, lhs, rhs = mismatch
@@ -429,13 +433,16 @@ FAMILIES = {
 }
 
 
-def _run(records, indices, sides: PairSides, emit, skipped: dict | None = None) -> None:
+def _run(records, indices, sides: PairSides, emit, skipped: dict | None = None) -> int:
     """The one loop that evaluates a check: at each of ``indices``, each
     record makes its members once and passes each check to ``emit(name, idx,
     params, lhs, rhs, negctl)``, idx extended by the record's ``extra``
-    member if it has one. ``skipped``, if given, turns the predicates on and
-    maps each ruled-out record's checks to its skip reason."""
+    member if it has one. ``skipped``, if given, makes it a suite run: the
+    predicates are on, each ruled-out record's checks map to its skip reason,
+    and a holding check of a record with no ``negctl`` or ``extra`` is only
+    counted. Returns that count."""
     params = sides.params
+    held = 0
     for idx in indices:
         args = (sides, *idx)
         for members, pairs, when, skip, negctl, extra in records:
@@ -444,9 +451,14 @@ def _run(records, indices, sides: PairSides, emit, skipped: dict | None = None) 
                     skipped[pairs] = skip
                 continue
             s = members(*args)
+            counted = skipped is not None and negctl is None and extra is None
             at = idx if extra is None else idx + s[extra]
             for name, i, j in pairs:
-                emit(name, at, params, s[i], s[j], negctl)
+                if counted and s[i] == s[j]:
+                    held += 1
+                else:
+                    emit(name, at, params, s[i], s[j], negctl)
+    return held
 
 
 def family_checks(family: str, params: SeqParams, *idx: int) -> list[IdentityCheck]:
@@ -471,12 +483,12 @@ def family_checks(family: str, params: SeqParams, *idx: int) -> list[IdentityChe
 # These two exist for perfbench's must-work list (ROADMAP item 1), which traces
 # them by name and fails if either reads zero on verify-grid. So _suite runs the
 # thm6 and thm7 rows through them, looked up by module name on each run.
-def thm6_suite(params: SeqParams, n: int, *, sides: PairSides, emit) -> None:
-    _run(FAMILIES["thm6"].records, [(n,)], sides, emit)
+def thm6_suite(params: SeqParams, n: int, *, sides: PairSides, emit, skipped=None) -> int:
+    return _run(FAMILIES["thm6"].records, [(n,)], sides, emit, skipped)
 
 
-def thm7_suite(params: SeqParams, m: int, n: int, *, sides: PairSides, emit) -> None:
-    _run(FAMILIES["thm7"].records, [(m, n)], sides, emit)
+def thm7_suite(params: SeqParams, m: int, n: int, *, sides: PairSides, emit, skipped=None) -> int:
+    return _run(FAMILIES["thm7"].records, [(m, n)], sides, emit, skipped)
 
 
 def _suite(grid, max_index: int, order: int | None, suite: str, kinds) -> SuiteReport:
@@ -488,20 +500,20 @@ def _suite(grid, max_index: int, order: int | None, suite: str, kinds) -> SuiteR
     report = SuiteReport(suite=suite, params=list(grid))
     tail = SuiteReport(suite=suite)
     views = {"thm6": thm6_suite, "thm7": thm7_suite}
+    plan = [(name, family, family.domain(max_index, order))
+            for name, family in FAMILIES.items() if family.series in kinds]
     for params in report.params:
         # one store per pair, so the pair's shared sides are freed with it
         sides = PairSides(params)
-        for name, family in FAMILIES.items():
-            if family.series not in kinds:
-                continue
-            indices = family.domain(max_index, order)
-            if name in views:
-                for idx in indices:
-                    views[name](params, *idx, sides=sides, emit=report.record)
-                continue
+        for name, family, indices in plan:
             out = tail if family.series else report
             skipped = {}
-            _run(family.records, indices, sides, out.record, skipped)
+            if name in views:
+                held = sum(views[name](params, *idx, sides=sides, emit=out.record,
+                                       skipped=skipped) for idx in indices)
+            else:
+                held = _run(family.records, indices, sides, out.record, skipped)
+            out.checks_run += held  # after the run, whose emits add to the count too
             out.skipped.extend(SkipRecord(check, why.format(p=params))
                                for pairs, why in skipped.items() for check, _, _ in pairs)
     report.checks_run += tail.checks_run

@@ -46,6 +46,11 @@ def _lucas_seed(params: SeqParams) -> tuple[Mat2, Mat2]:
     return l0, l1
 
 
+def _seed(params: SeqParams, build) -> tuple[Mat2, Mat2]:
+    """``build(params)``, a seed pair such as F_0, F_1, kept in params' memo."""
+    return params._seeds.get(build) or params._seeds.setdefault(build, build(params))
+
+
 def _transfer(v0: Mat2, v1: Mat2, even: Fraction, odd: Fraction, n: int) -> Mat2:
     """v_n of v_k = c_k v_{k-1} + v_{k-2} (c_k = ``even`` or ``odd`` by the
     parity of k) as t11 v_1 + t12 v_0, where T = S_n ... S_2 with
@@ -67,22 +72,22 @@ def _transfer(v0: Mat2, v1: Mat2, even: Fraction, odd: Fraction, n: int) -> Mat2
 
 def fib_matrix_rec(params: SeqParams, n: int) -> Mat2:
     """F_n from F_0, F_1 and the transfer power of q's steps (a even, b odd)."""
-    return _transfer(*_fib_seed(params), params.a, params.b, n)
+    return _transfer(*_seed(params, _fib_seed), params.a, params.b, n)
 
 
 def lucas_matrix_rec(params: SeqParams, n: int) -> Mat2:
     """L_n from L_0, L_1 and the transfer power of l's steps (b even, a odd)."""
-    return _transfer(*_lucas_seed(params), params.b, params.a, n)
+    return _transfer(*_seed(params, _lucas_seed), params.b, params.a, n)
 
 
 def fib_matrix_rec_iter(params: SeqParams):
     """Endless generator of F_0, F_1, ... by one recurrence step each."""
-    return q_walk(params, *_fib_seed(params))
+    return q_walk(params, *_seed(params, _fib_seed))
 
 
 def lucas_matrix_rec_iter(params: SeqParams):
     """Endless generator of L_0, L_1, ... by one recurrence step each."""
-    return l_walk(params, *_lucas_seed(params))
+    return l_walk(params, *_seed(params, _lucas_seed))
 
 
 def _closed(ratio: Fraction, e: int, x: Fraction, y: Fraction, z: Fraction, top: bool) -> Mat2:
@@ -163,7 +168,7 @@ def fib_matrix_binet(params: SeqParams, n: int) -> Mat2:
     """
     _require_binet(params, n)
     a, b, ab = params.a, params.b, params.ab
-    f0, f1 = _fib_seed(params)
+    f0, f1 = _seed(params, _fib_seed)
     scale = ab ** (n // 2)
     if eps(n) == 0:
         return _binet(params, f1, lambda _: a, f0, lambda x: x - ab, n, scale)
@@ -176,7 +181,7 @@ def lucas_matrix_binet(params: SeqParams, n: int) -> Mat2:
     """
     _require_binet(params, n)
     b, ab = params.b, params.ab
-    l0, l1 = _lucas_seed(params)
+    l0, l1 = _seed(params, _lucas_seed)
     scale = (b ** eps(n)) * (ab ** (n // 2))
     return _binet(params, l1, lambda _: b, l0, lambda x: x - ab, n, scale)
 

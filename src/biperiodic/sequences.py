@@ -75,13 +75,13 @@ class SeqParams:
     TypeError, as a ``Mat2`` entry does). Carries ab, the ratios b/a and a/b,
     the discriminant D = ab(ab+4) of x^2 - ab x - ab = 0, whose roots alpha
     and beta the Binet route uses, and per-instance memos as plain data, so
-    instances pickle and copy: the q and l tables and the powers (b/a)^e that
-    :meth:`ratio_times` has used. Instances are immutable apart from the
-    internal memo growth.
+    instances pickle and copy: the q and l tables, the powers (b/a)^e that
+    :meth:`ratio_times` has used and the seed matrices :mod:`.matrixseq` has
+    built. Instances are immutable apart from the internal memo growth.
     """
 
     __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b", "disc",
-                 "binet_allowed", "_q", "_l", "_ratio_powers")
+                 "binet_allowed", "_q", "_l", "_ratio_powers", "_seeds")
 
     def __init__(self, a: RationalLike, b: RationalLike):
         a = _entry(a)
@@ -102,6 +102,7 @@ class SeqParams:
         self._q = _table(Fraction(0), Fraction(1), even=a, odd=b)
         self._l = _table(Fraction(2), a, even=b, odd=a)
         self._ratio_powers = {}
+        self._seeds = {}
 
     def ratio_times(self, e: int, x):
         """(b/a)^e * x for any integer e: x itself when e = 0, else one

@@ -17,7 +17,7 @@ machinery provably can fail.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count, islice
 
 from .exact import Mat2
 from .matrixseq import lucas_matrix_closed, lucas_matrix_rec_iter
@@ -101,22 +101,36 @@ def lucas_generating_series(params: SeqParams, order: int) -> tuple:
     )
 
 
-def _first_recurrence_mismatch(params: SeqParams, series: tuple) -> int | None:
-    """Index of the first series coefficient that differs from the
-    recurrence term L_k, or None; the recurrence is the independent oracle."""
-    for k, (coeff, term) in enumerate(zip(series, lucas_matrix_rec_iter(params))):
+def _first_recurrence_mismatch(params: SeqParams, series: tuple, lucas=None) -> int | None:
+    """Index of the first series coefficient that differs from the recurrence
+    term L_k, the independent oracle (from ``lucas`` if given), or None."""
+    terms = lucas_matrix_rec_iter(params) if lucas is None else map(lucas, count())
+    for k, (coeff, term) in enumerate(zip(series, terms)):
         if coeff != term:
             return k
     return None
 
 
-def first_generating_mismatch(params: SeqParams, order: int) -> int | None:
-    """First k < order where the generating series and L_k differ, or None."""
-    return _first_recurrence_mismatch(params, lucas_generating_series(params, order))
+def first_generating_mismatch(params: SeqParams, order: int, lucas=None) -> int | None:
+    """First k < order where the generating series and L_k differ, or None;
+    ``lucas`` maps k to the recurrence's L_k (default: a fresh walk)."""
+    return _first_recurrence_mismatch(params, lucas_generating_series(params, order), lucas)
+
+
+def cleared_inverse_sums(params: SeqParams, lucas):
+    """Endless generator of the cleared left sides of
+    :func:`finite_inverse_sum_sides` for n = 0, 1, ..., with ``lucas`` k -> L_k:
+    each is the one before times x plus (1 - (ab+2)x^2 + x^4) L_n x^2."""
+    c2, lhs = -(params.ab + 2), {}
+    for n in count():
+        term = lucas(n)
+        lhs = _collect([*((e + 1, c) for e, c in lhs.items()),
+                        (2, term), (4, _times_unit(c2, term)), (6, term)])
+        yield lhs
 
 
 def finite_inverse_sum_sides(
-    params: SeqParams, n: int, negative_control: bool = False, lucas=None
+    params: SeqParams, n: int, negative_control: bool = False, lucas=None, lhs=None
 ) -> tuple[dict, dict]:
     """Both sides of the truncated inverse-power identity, cleared of
     denominators by x^(n+2) * (1 - (ab+2)x^2 + x^4), as exponent ->
@@ -128,19 +142,14 @@ def finite_inverse_sum_sides(
     x^(n+2) instead, which is false for every n.
 
     ``lucas`` maps k to L_k (default: the closed form at every call); a
-    caching one shares the terms across n.
-    """
+    caching one shares the terms across n. A caller walking n upward passes
+    ``lhs``, term n of :func:`cleared_inverse_sums`."""
     if n < 0:
         raise ValueError("n must be >= 0")
     a, b, ab = params.a, params.b, params.ab
     big_l = lucas if lucas is not None else lambda k: lucas_matrix_closed(params, k)
-
-    quartic = _collect([(0, Fraction(1)), (2, -(ab + 2)), (4, Fraction(1))])
-    partial = _collect((n + 2 - k, big_l(k)) for k in range(n + 1))
-    lhs = _collect(
-        (e1 + e2, _times_unit(c1, c2))
-        for e1, c1 in quartic.items() for e2, c2 in partial.items()
-    )
+    if lhs is None:
+        lhs = next(islice(cleared_inverse_sums(params, big_l), n, None))
 
     tail_exponent = n + 2 if negative_control else n - 2
     rhs = _collect(
@@ -159,10 +168,10 @@ def finite_inverse_sum_sides(
 
 
 def finite_inverse_sum_mismatch(
-    params: SeqParams, n: int, negative_control: bool = False, lucas=None
+    params: SeqParams, n: int, negative_control: bool = False, lucas=None, lhs=None
 ) -> tuple[int, Mat2, Mat2] | None:
-    """First exponent where the cleared sides differ, or None if identical."""
-    lhs, rhs = finite_inverse_sum_sides(params, n, negative_control, lucas)
+    """First exponent where :func:`finite_inverse_sum_sides` differ, or None."""
+    lhs, rhs = finite_inverse_sum_sides(params, n, negative_control, lucas, lhs)
     if lhs == rhs:
         return None
     e = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
@@ -206,11 +215,12 @@ def infinite_inverse_sum_series(
 
 
 def first_infinite_mismatch(
-    params: SeqParams, order: int, negative_control: bool = False
+    params: SeqParams, order: int, negative_control: bool = False, lucas=None
 ) -> int | None:
-    """First k < order where the inverse-power series and L_k differ, or None."""
+    """First k < order where the inverse-power series and L_k differ, or None;
+    ``lucas`` as in :func:`first_generating_mismatch`."""
     return _first_recurrence_mismatch(
-        params, infinite_inverse_sum_series(params, order, negative_control)
+        params, infinite_inverse_sum_series(params, order, negative_control), lucas
     )
 
 
@@ -226,11 +236,8 @@ def lucas_partial_sum(params: SeqParams, n: int, lucas=None) -> Mat2:
         raise ValueError("n must be >= 1")
     a, b, ab = params.a, params.b, params.ab
     big_l = lucas if lucas is not None else lambda k: lucas_matrix_closed(params, k)
-    e = eps(n)
-    total = (b**e * a ** (1 - e)) * big_l(n)
-    total = total + (b ** (1 - e) * a**e) * big_l(n - 1)
-    total = total - b * big_l(1)
-    total = total + (ab - a) * big_l(0)
+    top, low = (b, a) if eps(n) else (a, b)  # b^eps(n) a^(1-eps(n)), and swapped
+    total = top * big_l(n) + low * big_l(n - 1) - b * big_l(1) + (ab - a) * big_l(0)
     return total / ab
 
 

@@ -1,12 +1,15 @@
 import copy
 import pickle
+import random
+import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biperiodic import identities
+from biperiodic import identities, matrixseq, series
 from biperiodic.exact import Mat2
 from biperiodic.identities import (
     GRID_VALUES,
@@ -426,6 +429,51 @@ def test_every_family_on_large_rational_pairs(pair):
         "invsum.finite.negctl", "invsum.infinite.negctl",
     ]
     assert {x.name for x in report.skipped} == (BINET_ROWS if pair.ab == -4 else set())
+
+
+def test_suite_does_each_pairs_series_and_seed_work_once(monkeypatch):
+    """One pair at the verify defaults: the series rows expand 40 + 40
+    coefficients, the sign-slipped control 8 and then its first 3 again to
+    read coefficient 2; the series module starts one L_k walk, the partial
+    sums'; and the seed matrices are built once each."""
+    work = Counter()
+    for module, name, key, size in (
+        (series, "expand_rational", "coefficients", lambda *a: a[2]),
+        (series, "lucas_matrix_rec_iter", "series walks", lambda *a: 1),
+        (matrixseq, "_fib_seed", "seeds", lambda *a: 1),
+        (matrixseq, "_lucas_seed", "seeds", lambda *a: 1),
+    ):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, key=key, size=size, **kw: (
+            work.update({key: size(*a)}) or fn(*a, **kw)))
+    report = run_full_suite([SeqParams(F(1, 2), F(5, 3))], 12, "full", 40)
+    assert report.ok
+    assert report.checks_run == 2091
+    assert work == {"coefficients": 40 + 40 + 8 + 3, "series walks": 1, "seeds": 2}
+
+
+def _deep_pairs(rng: random.Random, count: int) -> list[SeqParams]:
+    pairs = []
+    while len(pairs) < count:
+        a, b = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        if a and b and a * b != -4:
+            pairs.append(SeqParams(a, b))
+    return pairs
+
+
+def test_triple_and_thm7_hold_at_deep_indices_within_budget():
+    """The triple row at n in 2000..3000 and the thm7 row at m in 200..400,
+    n in 400..800, on four seeded pairs of small height: every check holds,
+    within 3 s."""
+    rng = random.Random(11)
+    start = time.perf_counter()
+    for p in _deep_pairs(rng, 4):
+        n = rng.randint(2000, 3000)
+        m, k = rng.randint(200, 400), rng.randint(400, 800)
+        for checks in (family_checks("triple", p, n), family_checks("thm7", p, m, k)):
+            assert checks and all(c.holds for c in checks), (p, n, m, k)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"deep triple and thm7 checks took {elapsed:.2f}s, budget 3s"
 
 
 class TestReportSerialization:

@@ -11,6 +11,7 @@ from biperiodic.exact import Mat2
 from biperiodic.matrixseq import lucas_matrix_closed, lucas_matrix_rec_iter
 from biperiodic.sequences import SeqParams
 from biperiodic.series import (
+    cleared_inverse_sums,
     direct_partial_sums,
     expand_rational,
     finite_inverse_sum_mismatch,
@@ -119,6 +120,18 @@ class TestGeneratingFunction:
     def test_mismatch_reports_none_when_ok(self):
         assert first_generating_mismatch(SeqParams(2, 3), 25) is None
 
+    @pytest.mark.parametrize("p", SAMPLE, ids=str)
+    def test_mismatches_read_a_given_lucas_walk(self, p):
+        walk = list(islice(lucas_matrix_rec_iter(p), 30))
+        wrong = lambda k: Mat2.zero() if k == 5 else walk[k]
+        assert first_generating_mismatch(p, 30, walk.__getitem__) is None
+        assert first_generating_mismatch(p, 30, wrong) == 5
+        for control in (False, True):
+            assert first_infinite_mismatch(p, 30, control, walk.__getitem__) == (
+                first_infinite_mismatch(p, 30, control)
+            ), (p, control)
+        assert first_infinite_mismatch(p, 30, lucas=wrong) == 5
+
 
 class TestFiniteInverseSum:
     @pytest.mark.parametrize("p", SAMPLE, ids=str)
@@ -136,6 +149,20 @@ class TestFiniteInverseSum:
         for n in range(0, 6):
             for side in finite_inverse_sum_sides(p, n):
                 assert all(side.values()), (p, n)
+
+    @pytest.mark.parametrize("p", SAMPLE + [SeqParams(1, -2)], ids=str)
+    def test_walked_left_side_is_the_quartic_times_the_partial_sum(self, p):
+        # the reference: every term of (1 - (ab+2)x^2 + x^4) sum_k L_k x^(n+2-k)
+        lucas = cache(lambda k: lucas_matrix_closed(p, k))
+        quartic = ((0, 1), (2, -(p.ab + 2)), (4, 1))
+        for n, lhs in enumerate(islice(cleared_inverse_sums(p, lucas), 16)):
+            want = {}
+            for k in range(n + 1):
+                for e, c in quartic:
+                    at = n + 2 - k + e
+                    want[at] = want.get(at, Mat2.zero()) + c * lucas(k)
+            assert lhs == {e: v for e, v in want.items() if v}, (p, n)
+            assert finite_inverse_sum_sides(p, n)[0] == lhs, (p, n)
 
     @pytest.mark.parametrize("p", SAMPLE, ids=str)
     def test_negative_control_fails_everywhere(self, p):
