@@ -46,8 +46,9 @@ def _lucas_seed(params: SeqParams) -> tuple[Mat2, Mat2]:
     return l0, l1
 
 
-def _seed(params: SeqParams, build) -> tuple[Mat2, Mat2]:
-    """``build(params)``, a seed pair such as F_0, F_1, kept in params' memo."""
+def _seed(params: SeqParams, build) -> tuple:
+    """``build(params)``, a non-empty tuple of per-pair constants such as the
+    seed pair F_0, F_1, kept in params' memo."""
     return params._seeds.get(build) or params._seeds.setdefault(build, build(params))
 
 

@@ -11,12 +11,23 @@ coefficients from u_0 = v_0, u_1 = odd v_0 - v_1; equivalently v_{-k} walks
 with both coefficients negated from v_0, v_{-1} = v_1 - odd v_0, which is the
 walk the memo stores, so reads need no sign. Hence q_{-1} = 1, q_{-2} = -a,
 l_{-1} = -a and l_{-2} = ab + 2.
+
+:func:`q` and :func:`l` keep every term they have made, per instance and
+per direction, as reduced Fractions, and fill the missing ones from
+:func:`_integer_walk`: the same walk on integer numerators over one growing
+denominator, so a stored term costs two int products, a sum and the one gcd
+that reduces it, and no Fraction arithmetic. Unless ab is -1, -2 or -3,
+where the sequence is periodic, v_n has O(n) digits, so a fill up to n
+makes O(n) reductions of O(n)-digit integers and keeps O(n^2) digits; at
+large n those reductions set its cost. :func:`q_direct` and
+:func:`l_direct` stay on :func:`alternating_walk`, the independent reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 from .exact import RationalLike, _entry
 
@@ -40,6 +51,33 @@ def alternating_walk(v0, v1, even, odd):
         prev, cur, c, c_next = cur, c * cur + prev, c_next, c
 
 
+def _integer_walk(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
+    """The terms of ``alternating_walk(v0, v1, even, odd)`` for Fractions,
+    stepped on integers. With v_k = w_k / p_k and p_k = p_{k-1} den(c_k),
+    w_k = num(c_k) w_{k-1} + den(even) den(odd) w_{k-2}: two int products
+    and a sum per step, and one reduction when term k is built. Where the
+    terms' own denominators stay small (ab = -1, -2 or -3 makes the sequence
+    periodic), p would grow for nothing, so the walk restarts from its last
+    two terms once p is longer than twice their denominator plus 64 bits."""
+    c, d, c_next, d_next = even.numerator, even.denominator, odd.numerator, odd.denominator
+    dd = d * d_next
+    yield v0
+    yield v1
+    while True:
+        # v0 = w_0 / p_0 and v1 = w_1 / p_1 with p_0 = lcm(den v0, den v1)
+        p = lcm(v0.denominator, v1.denominator)
+        prev = v0.numerator * (p // v0.denominator)
+        p *= d_next
+        cur = v1.numerator * (p // v1.denominator)
+        while True:
+            prev, cur, p = cur, c * cur + dd * prev, p * d
+            v0, v1 = v1, Fraction(cur, p)
+            yield v1
+            c, d, c_next, d_next = c_next, d_next, c, d
+            if p.bit_length() > 2 * v1.denominator.bit_length() + 64:
+                break
+
+
 def _table(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction) -> tuple:
     """Memo of one sequence as plain data, one walk per direction:
     (even, odd, [v_0, v_1, ...]) and (-even, -odd, [v_0, v_{-1}, ...])."""
@@ -47,8 +85,8 @@ def _table(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction) -> tuple:
 
 
 def _memo_term(table: tuple, n: int) -> Fraction:
-    """v_n, first storing any missing terms from a fresh walk resumed at the
-    last two stored ones. Racing fills store equal values in one slice
+    """v_n, first storing any missing terms from a fresh integer walk resumed
+    at the last two stored ones. Racing fills store equal values in one slice
     assignment each and never remove a slot."""
     even, odd, terms = table[1] if n < 0 else table[0]
     k = abs(n)
@@ -56,7 +94,7 @@ def _memo_term(table: tuple, n: int) -> Fraction:
     if k >= j:
         if j & 1:  # the walk's step i is step j - 2 + i of the sequence
             even, odd = odd, even
-        new = list(islice(alternating_walk(terms[j - 2], terms[j - 1], even, odd),
+        new = list(islice(_integer_walk(terms[j - 2], terms[j - 1], even, odd),
                           2, k - j + 3))
         terms[j:j + len(new)] = new
     return terms[k]
@@ -76,8 +114,9 @@ class SeqParams:
     the discriminant D = ab(ab+4) of x^2 - ab x - ab = 0, whose roots alpha
     and beta the Binet route uses, and per-instance memos as plain data, so
     instances pickle and copy: the q and l tables, the powers (b/a)^e that
-    :meth:`ratio_times` has used and the seed matrices :mod:`.matrixseq` has
-    built. Instances are immutable apart from the internal memo growth.
+    :meth:`ratio_times` has used and the per-pair constants (seed matrices,
+    series terms) that :mod:`.matrixseq` and :mod:`.series` have built.
+    Instances are immutable apart from the internal memo growth.
     """
 
     __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b", "disc",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate, count, islice
 
 from .exact import Mat2
-from .matrixseq import lucas_matrix_closed, lucas_matrix_rec_iter
+from .matrixseq import _lucas_seed, _seed, lucas_matrix_closed, lucas_matrix_rec_iter
 from .sequences import SeqParams, eps
 
 
@@ -129,6 +129,17 @@ def cleared_inverse_sums(params: SeqParams, lucas):
         yield lhs
 
 
+def _pair_constants(params: SeqParams) -> tuple[Mat2, Mat2, Mat2, Mat2, Mat2]:
+    """L_0, L_1 and the closed forms' terms made of them alone:
+    -((ab+1)L_0 - b L_1) and -(L_1 - a L_0) of :func:`finite_inverse_sum_sides`,
+    and -b L_1 + (ab - a)L_0 of :func:`lucas_partial_sum`. A tuple, so that
+    ``_seed`` keeps it even where a member is the zero matrix."""
+    a, b, ab = params.a, params.b, params.ab
+    l0, l1 = _seed(params, _lucas_seed)
+    return (l0, l1, -((ab + 1) * l0 - b * l1), -(l1 - a * l0),
+            -b * l1 + (ab - a) * l0)
+
+
 def finite_inverse_sum_sides(
     params: SeqParams, n: int, negative_control: bool = False, lucas=None, lhs=None
 ) -> tuple[dict, dict]:
@@ -142,14 +153,15 @@ def finite_inverse_sum_sides(
     x^(n+2) instead, which is false for every n.
 
     ``lucas`` maps k to L_k (default: the closed form at every call); a
-    caching one shares the terms across n. A caller walking n upward passes
-    ``lhs``, term n of :func:`cleared_inverse_sums`."""
+    caching one shares the terms across n. The terms in L_0 and L_1 alone
+    are made once per pair. A caller walking n upward passes ``lhs``, term n
+    of :func:`cleared_inverse_sums`."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, b, ab = params.a, params.b, params.ab
     big_l = lucas if lucas is not None else lambda k: lucas_matrix_closed(params, k)
     if lhs is None:
         lhs = next(islice(cleared_inverse_sums(params, big_l), n, None))
+    l0, l1, x4, x3, _ = _seed(params, _pair_constants)
 
     tail_exponent = n + 2 if negative_control else n - 2
     rhs = _collect(
@@ -158,10 +170,10 @@ def finite_inverse_sum_sides(
             (5, -big_l(n + 1)),
             (2, big_l(n)),
             (n + 2 - tail_exponent, -big_l(n + 2)),
-            (n + 6, big_l(0)),
-            (n + 5, big_l(1)),
-            (n + 4, -((ab + 1) * big_l(0) - b * big_l(1))),
-            (n + 3, -(big_l(1) - a * big_l(0))),
+            (n + 6, l0),
+            (n + 5, l1),
+            (n + 4, x4),
+            (n + 3, x3),
         ]
     )
     return lhs, rhs
@@ -230,14 +242,15 @@ def lucas_partial_sum(params: SeqParams, n: int, lucas=None) -> Mat2:
     (1/ab) ( b^eps(n) a^(1-eps(n)) L_n + b^(1-eps(n)) a^eps(n) L_{n-1}
              - b L_1 + (ab - a) L_0 ).
 
-    ``lucas`` maps k to L_k, as in :func:`finite_inverse_sum_sides`.
+    ``lucas`` maps k to L_k, and the last two terms are made once per pair,
+    as in :func:`finite_inverse_sum_sides`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a, b, ab = params.a, params.b, params.ab
     big_l = lucas if lucas is not None else lambda k: lucas_matrix_closed(params, k)
     top, low = (b, a) if eps(n) else (a, b)  # b^eps(n) a^(1-eps(n)), and swapped
-    total = top * big_l(n) + low * big_l(n - 1) - b * big_l(1) + (ab - a) * big_l(0)
+    total = top * big_l(n) + low * big_l(n - 1) + _seed(params, _pair_constants)[4]
     return total / ab
 
 

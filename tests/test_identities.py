@@ -435,21 +435,27 @@ def test_suite_does_each_pairs_series_and_seed_work_once(monkeypatch):
     """One pair at the verify defaults: the series rows expand 40 + 40
     coefficients, the sign-slipped control 8 and then its first 3 again to
     read coefficient 2; the series module starts one L_k walk, the partial
-    sums'; and the seed matrices are built once each."""
+    sums'; and the seed matrices and the series rows' constants in L_0, L_1
+    are built once each."""
     work = Counter()
-    for module, name, key, size in (
-        (series, "expand_rational", "coefficients", lambda *a: a[2]),
-        (series, "lucas_matrix_rec_iter", "series walks", lambda *a: 1),
-        (matrixseq, "_fib_seed", "seeds", lambda *a: 1),
-        (matrixseq, "_lucas_seed", "seeds", lambda *a: 1),
+    for modules, name, key, size in (
+        ((series,), "expand_rational", "coefficients", lambda *a: a[2]),
+        ((series,), "lucas_matrix_rec_iter", "series walks", lambda *a: 1),
+        ((series,), "_pair_constants", "constants", lambda *a: 1),
+        ((matrixseq,), "_fib_seed", "seeds", lambda *a: 1),
+        # one wrapper wherever it is imported, so the memo keeps one entry
+        ((matrixseq, series), "_lucas_seed", "seeds", lambda *a: 1),
     ):
-        fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, fn=fn, key=key, size=size, **kw: (
-            work.update({key: size(*a)}) or fn(*a, **kw)))
+        fn = getattr(modules[0], name)
+        wrapped = lambda *a, fn=fn, key=key, size=size, **kw: (
+            work.update({key: size(*a)}) or fn(*a, **kw))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapped)
     report = run_full_suite([SeqParams(F(1, 2), F(5, 3))], 12, "full", 40)
     assert report.ok
     assert report.checks_run == 2091
-    assert work == {"coefficients": 40 + 40 + 8 + 3, "series walks": 1, "seeds": 2}
+    assert work == {"coefficients": 40 + 40 + 8 + 3, "series walks": 1, "seeds": 2,
+                    "constants": 1}
 
 
 def _deep_pairs(rng: random.Random, count: int) -> list[SeqParams]:

@@ -1,13 +1,17 @@
 import copy
+import math
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from biperiodic import sequences
 from biperiodic.exact import Mat2, QuadElement
 from biperiodic.identities import default_grid
 from biperiodic.sequences import (
@@ -145,6 +149,63 @@ class TestScalarKernels:
         assert q(p, n) == cq * q(p, n - 1) + q(p, n - 2)
         cl = a if n % 2 == 1 else b
         assert l(p, n) == cl * l(p, n - 1) + l(p, n - 2)
+
+
+# integers (denominator 1), ab = -4, D < 0 (-4 < ab < 0) and large heights
+RESUME_PAIRS = [(1, 1), (-3, 7), (2, -2), (F(-1, 2), 8), (1, -1), (F(3, 2), F(-2, 3)),
+                (F(123457, 99991), F(-77777, 65537)), (F(-1000003, 7), F(5, 999983))]
+
+
+@pytest.mark.parametrize("a, b", RESUME_PAIRS, ids=str)
+def test_memo_fills_resumed_in_any_order_match_the_walk(a, b):
+    # reads in a shuffled order over -60..60 make each fill resume at the
+    # last two stored terms from an odd or an even j, in both directions
+    rng = random.Random(20)
+    reference = SeqParams(a, b)
+    want = {n: (q_direct(reference, n), l_direct(reference, n)) for n in range(-60, 61)}
+    for _ in range(4):
+        order = list(want)
+        rng.shuffle(order)
+        p = SeqParams(a, b)
+        for n in order:
+            assert (q(p, n), l(p, n)) == want[n], (a, b, n)
+        stored = [t for table in (p._q, p._l) for _, _, terms in table for t in terms]
+        assert len(stored) == 4 * 61
+        assert all(type(t) is F for t in stored)
+        assert {n: (q(p, n), l(p, n)) for n in want} == want
+
+
+def test_memo_fill_does_no_fraction_arithmetic(monkeypatch):
+    # the fill steps on integers and builds each stored term once
+    p = SeqParams(F(1, 2), F(5, 3))
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        method = F.__dict__[name]
+        monkeypatch.setattr(F, name, lambda x, y, method=method, name=name: (
+            calls.append(name) or method(x, y)))
+    assert (F(1) + F(2)) * F(3) == 9 and calls == ["__add__", "__mul__"]
+    calls.clear()
+    q(p, 500)
+    l(p, -501)
+    assert calls == []
+    monkeypatch.undo()
+    assert (q(p, 500), l(p, -501)) == (q_direct(p, 500), l_direct(p, -501))
+
+
+@pytest.mark.parametrize("a, b", [(F(3, 2), F(-2, 3)), (F(1, 2), -4), (F(1, 2), F(5, 3))],
+                         ids=str)
+def test_integer_walk_restarts_only_where_denominators_stay_small(a, b, monkeypatch):
+    # D < 0 makes q periodic, so its unreduced denominator would outgrow the
+    # terms' own; where the terms' denominators grow too, one start suffices
+    starts = []
+    monkeypatch.setattr(sequences, "lcm", lambda *x: starts.append(x) or math.lcm(*x))
+    p = SeqParams(a, b)
+    walk = list(islice(sequences._integer_walk(F(0), F(1), p.a, p.b), 2001))
+    assert walk == list(islice(sequences.alternating_walk(F(0), F(1), p.a, p.b), 2001))
+    if p.disc < 0:
+        assert 10 < len(starts) < 100, len(starts)
+    else:
+        assert len(starts) == 1
 
 
 def _sides_equal(sides) -> bool:
