@@ -18,13 +18,13 @@ import argparse
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
 
 from .exact import Mat2, _spelled, parse_rational
 from .identities import default_grid, run_full_suite
 from .matrixseq import (
+    _closed_texts,
     fib_matrix_binet,
     fib_matrix_closed,
     fib_matrix_rec,
@@ -33,7 +33,7 @@ from .matrixseq import (
     lucas_matrix_rec,
     lucas_matrix_rec_iter,
 )
-from .sequences import SeqParams, l, q
+from .sequences import SeqParams, _range, l, q
 from .series import lucas_generating_series
 
 SCALAR_KINDS = ("fib", "lucas")
@@ -59,7 +59,7 @@ def _make_params(a: Fraction, b: Fraction) -> SeqParams:
 
 
 def _route(args, last: int):
-    """n -> the value of ``args.kind`` at n, after every check of the range
+    """The pair and n -> the value of ``args.kind`` at n, after every check of
     ``args.n``..``last`` against its source, so a rejected call writes nothing."""
     params = _make_params(args.a, args.b)
     kind, source = args.kind, args.source
@@ -68,46 +68,42 @@ def _route(args, last: int):
     if last < args.n:
         raise CliError("--n-max must be >= --n")
     if kind in SCALAR_KINDS:
-        return lambda n: (q if kind == "fib" else l)(params, n)
+        return params, lambda n: (q if kind == "fib" else l)(params, n)
     source = source or "closed"
     if source in ("rec", "binet") and args.n < 0:
         raise CliError(f"source '{source}' requires n >= 0; use --source closed")
     if source == "binet" and not params.binet_allowed:
         raise CliError("ab = -4 is degenerate: alpha = beta, Binet route unavailable")
-    return lambda n: _matrix_value(params, kind, n, source)
+    return params, lambda n: _matrix_value(params, kind, n, source)
 
 
 def _matrix_value(params: SeqParams, kind: str, n: int, source: str) -> Mat2:
-    rec, closed, binet = (
-        (fib_matrix_rec, fib_matrix_closed, fib_matrix_binet)
-        if kind == "fib-matrix"
-        else (lucas_matrix_rec, lucas_matrix_closed, lucas_matrix_binet)
-    )
-    if source == "closed":
-        return closed(params, n)
-    if source == "rec":
-        return rec(params, n)
-    if source == "binet":
-        return binet(params, n)
-    values = [closed(params, n)]
-    if n >= 0:
-        values.append(rec(params, n))
-        if params.binet_allowed:
-            values.append(binet(params, n))
+    routes = (
+        (fib_matrix_closed, fib_matrix_rec, fib_matrix_binet) if kind == "fib-matrix"
+        else (lucas_matrix_closed, lucas_matrix_rec, lucas_matrix_binet))
+    if source != "all":
+        return routes[("closed", "rec", "binet").index(source)](params, n)
+    # below 0 only the closed form is defined; Binet needs ab != -4
+    values = [route(params, n) for route in routes[:1 if n < 0 else 2 + params.binet_allowed]]
     if any(v != values[0] for v in values[1:]):
         raise CliError("computation routes disagree; please report this")
     return values[0]
 
 
+_MATRIX_TEXT = {"plain": "[[{}, {}], [{}, {}]]", "json": '[["{}","{}"],["{}","{}"]]',
+                "csv": "{},{},{},{}"}
+
+
 def _text(value, fmt: str) -> str:
-    """A Fraction, Mat2 or bool as one field of a ``fmt`` row."""
+    """A Fraction, Mat2, bool or a matrix's entry texts as a ``fmt`` field."""
+    if isinstance(value, Mat2):
+        value = _spelled(value)
+    if isinstance(value, tuple):
+        return _MATRIX_TEXT[fmt].format(*value)
     if fmt == "plain":
         return str(value)
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, Mat2):
-        matrix = '[["{}","{}"],["{}","{}"]]' if fmt == "json" else "{},{},{},{}"
-        return matrix.format(*_spelled(value))
     return f'"{value}"' if fmt == "json" else str(value)
 
 
@@ -141,7 +137,7 @@ def _header(kind: str) -> str:
 
 
 def cmd_term(args) -> int:
-    value = _route(args, args.n)(args.n)
+    value = _route(args, args.n)[1](args.n)
     if args.format == "csv":
         _write_rows("csv", _header(args.kind), [(args.n, {"value": value})])
     else:
@@ -150,10 +146,15 @@ def cmd_term(args) -> int:
 
 
 def cmd_table(args) -> int:
-    value = _route(args, args.n_max)
-    key = "value" if args.kind in SCALAR_KINDS else "matrix"
-    rows = ((n, {key: value(n)}) for n in range(args.n, args.n_max + 1))
-    _write_rows(args.format, _header(args.kind), rows)
+    params, value = _route(args, args.n_max)
+    kind, lo, hi = args.kind, args.n, args.n_max
+    if kind in SCALAR_KINDS:
+        key, values = "value", _range(params._q if kind == "fib" else params._l, lo, hi)
+    elif args.source in (None, "closed"):
+        key, values = "matrix", _closed_texts(params, kind == "fib-matrix", lo, hi)
+    else:
+        key, values = "matrix", map(value, range(lo, hi + 1))
+    _write_rows(args.format, _header(kind), ((n, {key: v}) for n, v in enumerate(values, lo)))
     return 0
 
 
@@ -184,6 +185,8 @@ def cmd_verify(args) -> int:
     report = run_full_suite(_resolve_grid(args), args.n_max, "full", args.order)
     doc = report.to_json_dict()
     if args.timestamps:
+        from datetime import datetime, timezone
+
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     print(json.dumps(doc, indent=2))
     return 0 if report.ok else 1

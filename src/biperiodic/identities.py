@@ -11,7 +11,6 @@ report with a populated ``failures`` list is still a well-formed result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
@@ -69,14 +68,12 @@ class IdentityCheck(NamedTuple):
     holds: bool
 
 
-@dataclass(frozen=True)
-class SkipRecord:
+class SkipRecord(NamedTuple):
     name: str
     reason: str
 
 
-@dataclass(frozen=True)
-class ExpectedFailure:
+class ExpectedFailure(NamedTuple):
     check: IdentityCheck
     reason: str
 
@@ -131,16 +128,28 @@ def _check_from_dict(d: dict, holds: bool) -> IdentityCheck:
     )
 
 
-@dataclass
 class SuiteReport:
-    """Aggregate outcome of a verification run; order-independent tallies."""
+    """Aggregate outcome of a verification run; order-independent tallies.
+    Reports with equal fields are equal; each list defaults to a new one."""
 
-    suite: str
-    params: list[SeqParams] = field(default_factory=list)
-    checks_run: int = 0
-    failures: list[IdentityCheck] = field(default_factory=list)
-    skipped: list[SkipRecord] = field(default_factory=list)
-    expected_failures: list[ExpectedFailure] = field(default_factory=list)
+    _FIELDS = ("suite", "params", "checks_run", "failures", "skipped", "expected_failures")
+
+    def __init__(self, suite: str, params: list[SeqParams] | None = None, checks_run: int = 0,
+                 failures: list[IdentityCheck] | None = None,
+                 skipped: list[SkipRecord] | None = None,
+                 expected_failures: list[ExpectedFailure] | None = None):
+        self.suite, self.checks_run = suite, checks_run
+        self.params, self.failures, self.skipped, self.expected_failures = (
+            [] if v is None else v for v in (params, failures, skipped, expected_failures))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"SuiteReport({fields})"
 
     @property
     def ok(self) -> bool:

@@ -7,7 +7,8 @@ Each sequence is computed three independent ways:
   two-step transfer-matrix power to the seeds in O(log n) products;
   ``*_rec_iter(p)`` walks the recurrence one step per term
   (:func:`.sequences.alternating_walk`),
-* entrywise closed form built from the scalar kernels (any integer n),
+* entrywise closed form built from the scalar kernels (any integer n); a
+  run of them is spelled as text from one walk of the scalar terms,
 * Binet form (n >= 0, requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
   likewise from L_0, L_1), where each coefficient s is a combination of
   alpha^n and beta^n. With ab = u/v in lowest terms, 2v alpha = u + sqrt(r)
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import IrrationalResidue, Mat2, QuadElement, _from_form
-from .sequences import BinetDegenerate, SeqParams, eps, l, l_walk, q, q_walk
+from .sequences import BinetDegenerate, SeqParams, _range, eps, l, l_walk, q, q_walk
 
 
 def _fib_seed(params: SeqParams) -> tuple[Mat2, Mat2]:
@@ -91,21 +92,25 @@ def lucas_matrix_rec_iter(params: SeqParams):
     return l_walk(params, *_seed(params, _lucas_seed))
 
 
-def _closed(ratio: Fraction, e: int, x: Fraction, y: Fraction, z: Fraction, top: bool) -> Mat2:
-    """[[w x, k y], [y, w z]] if ``top``, else [[w x, y], [k y, w z]], with
-    k = ``ratio`` and w = k^e (e in {0, 1}), built straight into the
-    canonical integer form: the entries over lcm(denominators) * den(k),
-    reduced by one gcd. Its Fractions are built only when read."""
-    kn, kd = ratio.numerator, ratio.denominator
+# The closed forms' entries e11, e12, e21, e22 for even and for odd n: (j, r)
+# is the scalar term v_{n-1+j} (q for F_n, l for L_n), times the ratio (b/a
+# for F_n, a/b for L_n) when r is 1.
+_FIB_ENTRIES = (((2, 0), (1, 1), (1, 0), (0, 0)), ((2, 1), (1, 1), (1, 0), (0, 1)))
+_LUCAS_ENTRIES = (((2, 0), (1, 0), (1, 1), (0, 0)), ((2, 1), (1, 0), (1, 1), (0, 1)))
+
+
+def _closed(ratio: Fraction, entries: tuple, window: tuple) -> Mat2:
+    """The matrix whose entries ``entries`` picks from ``window`` =
+    (v_{n-1}, v_n, v_{n+1}) and ``ratio``, built straight into the canonical
+    integer form: the entries over lcm(denominators) * den(ratio), reduced by
+    one gcd. Its Fractions are built only when read."""
+    x, y, z = window
     xd, yd, zd = x.denominator, y.denominator, z.denominator
     den = lcm(xd, yd, zd)
-    nx = x.numerator * (den // xd)
-    ny = y.numerator * (den // yd)
-    nz = z.numerator * (den // zd)
-    wn = kn if e else kd  # w * den(k)
-    n11, n22, ky, y1 = wn * nx, wn * nz, kn * ny, kd * ny
-    n12, n21 = (ky, y1) if top else (y1, ky)
-    d = den * kd
+    nums = (x.numerator * (den // xd), y.numerator * (den // yd), z.numerator * (den // zd))
+    scale = (ratio.denominator, ratio.numerator)
+    n11, n12, n21, n22 = [nums[j] * scale[r] for j, r in entries]
+    d = den * scale[0]
     g = gcd(d, n11, n12, n21, n22)
     if g == 1:
         return _from_form((n11, n12, n21, n22, d))
@@ -113,13 +118,25 @@ def _closed(ratio: Fraction, e: int, x: Fraction, y: Fraction, z: Fraction, top:
 
 
 def fib_matrix_closed(params: SeqParams, n: int) -> Mat2:
-    return _closed(params.b_over_a, eps(n),
-                   q(params, n + 1), q(params, n), q(params, n - 1), top=True)
+    after, at = q(params, n + 1), q(params, n)  # one memo fill for n >= 0
+    return _closed(params.b_over_a, _FIB_ENTRIES[eps(n)], (q(params, n - 1), at, after))
 
 
 def lucas_matrix_closed(params: SeqParams, n: int) -> Mat2:
-    return _closed(params.a_over_b, eps(n),
-                   l(params, n + 1), l(params, n), l(params, n - 1), top=False)
+    after, at = l(params, n + 1), l(params, n)  # one memo fill for n >= 0
+    return _closed(params.a_over_b, _LUCAS_ENTRIES[eps(n)], (l(params, n - 1), at, after))
+
+
+def _closed_texts(params: SeqParams, fib: bool, lo: int, hi: int):
+    """The entry texts of F_n (``fib``) or L_n for n = lo..hi, from one range
+    of scalar terms, each spelled once bare and once times the ratio."""
+    table, ratio, entries = ((params._q, params.b_over_a, _FIB_ENTRIES) if fib
+                             else (params._l, params.a_over_b, _LUCAS_ENTRIES))
+    spelled = ((str(v), str(ratio * v)) for v in _range(table, lo - 1, hi + 1))
+    window = (None, next(spelled), next(spelled))
+    for n, after in zip(range(lo, hi + 1), spelled):
+        window = (window[1], window[2], after)
+        yield tuple([window[j][r] for j, r in entries[n & 1]])
 
 
 def _require_binet(params: SeqParams, n: int) -> None:

@@ -19,8 +19,9 @@ denominator, so a stored term costs two int products, a sum and the one gcd
 that reduces it, and no Fraction arithmetic. Unless ab is -1, -2 or -3,
 where the sequence is periodic, v_n has O(n) digits, so a fill up to n
 makes O(n) reductions of O(n)-digit integers and keeps O(n^2) digits; at
-large n those reductions set its cost. :func:`q_direct` and
-:func:`l_direct` stay on :func:`alternating_walk`, the independent reference.
+large n those reductions set its cost. A run of terms, :func:`_range`,
+stores only those below 0. :func:`q_direct` and :func:`l_direct` stay on
+:func:`alternating_walk`, the independent reference.
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ def _memo_term(table: tuple, n: int) -> Fraction:
                           2, k - j + 3))
         terms[j:j + len(new)] = new
     return terms[k]
+
+
+def _range(table: tuple, lo: int, hi: int):
+    """v_lo, ..., v_hi: those below 0 read back from the memo after one fill
+    to |lo|, the rest from one integer walk from v_0, v_1 that stores nothing."""
+    if lo < 0:
+        _memo_term(table, lo)
+        yield from table[1][2][-lo:max(-hi - 1, 0):-1]
+    even, odd, terms = table[0]
+    yield from islice(_integer_walk(terms[0], terms[1], even, odd), max(lo, 0), max(hi + 1, 0))
 
 
 def _walk_term(table: tuple, n: int) -> Fraction:

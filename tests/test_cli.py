@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from biperiodic import cli, identities, series
+from biperiodic import cli, identities, matrixseq, series
 from biperiodic.exact import Mat2
 from biperiodic.identities import SuiteReport
 from biperiodic.sequences import SeqParams
@@ -245,6 +245,26 @@ class TestTable:
         )
         assert "\r" not in out
 
+    @pytest.mark.parametrize("kind", ["fib-matrix", "lucas-matrix"])
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_closed_rows_match_the_closed_matrices(self, capsys, kind, fmt):
+        # each row the three-term window spells is the closed matrix's text,
+        # and the whole table is the bytes of --source all, which builds
+        # every matrix (only the closed one below 0)
+        closed = (matrixseq.fib_matrix_closed if kind == "fib-matrix"
+                  else matrixseq.lucas_matrix_closed)
+        for a, b, lo, hi in (("1/2", "5/3", -9, 9), ("5", "7", 3, 12),
+                             ("3/2", "-2/3", -20, -11), ("2", "-2", 0, 0), ("-1", "1", 1, 1)):
+            p = SeqParams(F(a), F(b))
+            rows = matrixseq._closed_texts(SeqParams(F(a), F(b)), kind == "fib-matrix", lo, hi)
+            for n, row in zip(range(lo, hi + 1), rows, strict=True):
+                assert cli._text(row, fmt) == cli._text(closed(p, n), fmt), (a, b, n)
+            argv = ["table", "--kind", kind, f"--a={a}", f"--b={b}", f"--n={lo}",
+                    "--n-max", str(hi), "--format", fmt]
+            _, out, _ = run_cli(capsys, *argv)
+            _, out_all, _ = run_cli(capsys, *argv, "--source", "all")
+            assert out == out_all
+
 
 # Every exit-2 call of TestTerm and TestTable, and the range checks a table
 # makes before its first row
@@ -308,12 +328,9 @@ class _ByteCounter:
         pass
 
 
-def test_table_holds_one_row_not_the_range():
-    # the memo still holds every q_n and l_n, so this bounds the rows kept
-    # beside it: building the whole table first peaks at about 5x its size
+def _table_peak(argv):
+    """The tracemalloc peak of one in-process call and the bytes it wrote."""
     sink = _ByteCounter()
-    argv = ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=-700",
-            "--n-max", "700", "--format", "json", "--source", "closed"]
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
@@ -322,7 +339,27 @@ def test_table_holds_one_row_not_the_range():
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < sink.written
+    return peak, sink.written
+
+
+def test_table_holds_one_row_not_the_range():
+    # the memo keeps l_{-1}..l_{-701}, the terms below 0, so this bounds the
+    # rows kept beside it: building the whole table first peaks at about 5x
+    # its size
+    peak, written = _table_peak(
+        ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=-700",
+         "--n-max", "700", "--format", "json", "--source", "closed"])
+    assert peak < written
+
+
+def test_table_from_zero_keeps_no_terms():
+    # from n = 0 up, the rows come from one walk that stores nothing, so the
+    # peak is a few rows: it reads 0.01 of the 3.9 MB written, and the bound
+    # leaves 5x of that; a memo of l_0..l_1401 would read 0.16
+    peak, written = _table_peak(
+        ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=0",
+         "--n-max", "1400", "--format", "json"])
+    assert peak < 0.05 * written
 
 
 class TestSeries:

@@ -172,6 +172,41 @@ def test_memo_fills_resumed_in_any_order_match_the_walk(a, b):
         stored = [t for table in (p._q, p._l) for _, _, terms in table for t in terms]
         assert len(stored) == 4 * 61
         assert all(type(t) is F for t in stored)
+        assert {n: (q(p, n), l(p, n)) for n in want} == want
+
+
+# (1/2, 5/3) grows, (5, 7) is integer, (3/2, -2/3) is periodic, where the
+# integer walk restarts, and (2, -2) has ab = -4
+RANGE_PAIRS = [(F(1, 2), F(5, 3)), (5, 7), (F(3, 2), F(-2, 3)), (2, -2)]
+
+
+@pytest.mark.parametrize("a, b", RANGE_PAIRS, ids=str)
+def test_range_reads_every_span_like_single_terms(a, b):
+    # every lo <= hi in -7..8: starts below, at and above 0, odd and even lo,
+    # single terms and ranges that end below 0; each on a fresh memo
+    reference = SeqParams(a, b)
+    for kernel, name in ((q, "_q"), (l, "_l")):
+        want = {n: kernel(reference, n) for n in range(-7, 9)}
+        for lo in range(-7, 9):
+            for hi in range(lo, 9):
+                got = list(sequences._range(getattr(SeqParams(a, b), name), lo, hi))
+                assert got == [want[n] for n in range(lo, hi + 1)], (a, b, name, lo, hi)
+
+
+@pytest.mark.parametrize("a, b", RANGE_PAIRS, ids=str)
+@pytest.mark.parametrize("lo, hi", [(-800, -790), (-799, -1), (-401, 5), (0, 800),
+                                    (600, 640), (777, 801)])
+def test_long_ranges_match_single_terms(a, b, lo, hi):
+    reference = SeqParams(a, b)
+    for kernel, name in ((q, "_q"), (l, "_l")):
+        got = list(sequences._range(getattr(SeqParams(a, b), name), lo, hi))
+        assert got == [kernel(reference, n) for n in range(lo, hi + 1)], (a, b, name)
+
+
+def test_range_stores_only_the_terms_below_zero():
+    p = SeqParams(F(1, 2), F(5, 3))
+    assert len(list(sequences._range(p._q, -30, 400))) == 431
+    assert [len(terms) for _, _, terms in p._q] == [2, 31]
 
 
 def test_memo_fill_does_no_fraction_arithmetic(monkeypatch):
