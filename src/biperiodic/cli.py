@@ -5,10 +5,11 @@ Subcommands: ``term`` (one value), ``table`` (a range), ``series``
 machine-verification suite as a JSON report).
 
 Exit codes: 0 success, 1 verification failure or stdout closed early, 2
-usage or validation error. ``term``, ``table`` and ``series`` write each
-row as soon as it is made.
-All rationals cross the wire as exact "p/q" strings. Output is deterministic
-unless --timestamps is given. Note argparse needs the ``--a=-3/2`` form for
+usage or validation error. ``term`` and ``table`` read one producer of entry
+texts, a term being the one-row range; they and ``series`` write each row as
+soon as it is made, through one line template per command. All rationals
+cross the wire as exact "p/q" strings. Output is deterministic unless
+--timestamps is given. Note argparse needs the ``--a=-3/2`` form for
 negative values.
 """
 
@@ -33,7 +34,7 @@ from .matrixseq import (
     lucas_matrix_rec,
     lucas_matrix_rec_iter,
 )
-from .sequences import SeqParams, _range, l, q
+from .sequences import SeqParams, _range
 from .series import lucas_generating_series
 
 SCALAR_KINDS = ("fib", "lucas")
@@ -58,23 +59,29 @@ def _make_params(a: Fraction, b: Fraction) -> SeqParams:
         raise CliError(str(exc)) from None
 
 
-def _route(args, last: int):
-    """The pair and n -> the value of ``args.kind`` at n, after every check of
-    ``args.n``..``last`` against its source, so a rejected call writes nothing."""
+def _rows(args, last: int):
+    """(n, *texts) for n = ``args.n``..``last``, the entry texts of
+    ``args.kind`` at n, after every check of the range against its source,
+    so a rejected call writes nothing."""
     params = _make_params(args.a, args.b)
-    kind, source = args.kind, args.source
+    kind, source, lo = args.kind, args.source, args.n
     if kind in SCALAR_KINDS and source not in (None, "rec"):
         raise CliError("--source applies to matrix kinds only")
-    if last < args.n:
+    if last < lo:
         raise CliError("--n-max must be >= --n")
     if kind in SCALAR_KINDS:
-        return params, lambda n: (q if kind == "fib" else l)(params, n)
+        terms = _range(params._q if kind == "fib" else params._l, lo, last)
+        return ((n, str(v)) for n, v in enumerate(terms, lo))
     source = source or "closed"
-    if source in ("rec", "binet") and args.n < 0:
+    if source in ("rec", "binet") and lo < 0:
         raise CliError(f"source '{source}' requires n >= 0; use --source closed")
     if source == "binet" and not params.binet_allowed:
         raise CliError("ab = -4 is degenerate: alpha = beta, Binet route unavailable")
-    return params, lambda n: _matrix_value(params, kind, n, source)
+    if source == "closed":
+        texts = _closed_texts(params, kind == "fib-matrix", lo, last)
+    else:
+        texts = (_spelled(_matrix_value(params, kind, n, source)) for n in range(lo, last + 1))
+    return ((n, *t) for n, t in enumerate(texts, lo))
 
 
 def _matrix_value(params: SeqParams, kind: str, n: int, source: str) -> Mat2:
@@ -82,7 +89,7 @@ def _matrix_value(params: SeqParams, kind: str, n: int, source: str) -> Mat2:
         (fib_matrix_closed, fib_matrix_rec, fib_matrix_binet) if kind == "fib-matrix"
         else (lucas_matrix_closed, lucas_matrix_rec, lucas_matrix_binet))
     if source != "all":
-        return routes[("closed", "rec", "binet").index(source)](params, n)
+        return routes[1 if source == "rec" else 2](params, n)
     # below 0 only the closed form is defined; Binet needs ab != -4
     values = [route(params, n) for route in routes[:1 if n < 0 else 2 + params.binet_allowed]]
     if any(v != values[0] for v in values[1:]):
@@ -90,71 +97,52 @@ def _matrix_value(params: SeqParams, kind: str, n: int, source: str) -> Mat2:
     return values[0]
 
 
-_MATRIX_TEXT = {"plain": "[[{}, {}], [{}, {}]]", "json": '[["{}","{}"],["{}","{}"]]',
-                "csv": "{},{},{},{}"}
+# The templates of a row's fields by format: a rational and a matrix
+_RATIONAL = {"plain": "{}", "csv": "{}", "json": '"{}"'}
+_MATRIX = {"plain": "[[{}, {}], [{}, {}]]", "csv": "{},{},{},{}",
+           "json": '[["{}","{}"],["{}","{}"]]'}
+# By kind: the csv header of a term's or table's rows, their one field's key and templates
+_LAYOUT = {**dict.fromkeys(SCALAR_KINDS, ("index,value", "value", _RATIONAL)),
+           **dict.fromkeys(MATRIX_KINDS, ("index,e11,e12,e21,e22", "matrix", _MATRIX))}
 
 
-def _text(value, fmt: str) -> str:
-    """A Fraction, Mat2, bool or a matrix's entry texts as a ``fmt`` field."""
-    if isinstance(value, Mat2):
-        value = _spelled(value)
-    if isinstance(value, tuple):
-        return _MATRIX_TEXT[fmt].format(*value)
-    if fmt == "plain":
-        return str(value)
-    if isinstance(value, bool):
-        return str(value).lower()
-    return f'"{value}"' if fmt == "json" else str(value)
-
-
-def _write_rows(fmt: str, header: str, rows) -> None:
-    """Write each (index, {key: value}) of ``rows`` to stdout as soon as it
-    is made: csv lines after ``header``, one JSON array of objects, or plain
+def _write_rows(fmt: str, header: str, fields, rows) -> None:
+    """Write each (index, *texts) of ``rows`` to stdout as soon as it is
+    made, through one line template joined from ``fields``' (key, template)
+    pairs: csv lines after ``header``, one JSON array of objects, or plain
     "index: value" lines (``key=value`` fields when a row has several)."""
     write = sys.stdout.write
     if fmt == "csv":
         write(header + "\n")
+        line = ",".join(["{}", *(t for _, t in fields)]) + "\n"
     elif fmt == "json":
         write("[")
-    for i, (n, fields) in enumerate(rows):
-        texts = [_text(v, fmt) for v in fields.values()]
-        if fmt == "csv":
-            line = ",".join([str(n), *texts]) + "\n"
-        elif fmt == "json":
-            body = ",".join(f'"{key}":{t}' for key, t in zip(fields, texts))
-            line = f'{"," if i else ""}{{"index":{n},{body}}}'
-        elif len(texts) == 1:
-            line = f"{n}: {texts[0]}\n"
-        else:
-            line = f"{n}: " + " ".join(f"{key}={t}" for key, t in zip(fields, texts)) + "\n"
-        write(line)
+        line = '{{"index":{}' + "".join(f',"{key}":{t}' for key, t in fields) + "}}"
+    elif len(fields) == 1:
+        line = "{}: " + fields[0][1] + "\n"
+    else:
+        line = "{}: " + " ".join(f"{key}={t}" for key, t in fields) + "\n"
+    rest = "," + line if fmt == "json" else line
+    for row in rows:
+        write(line.format(*row))
+        line = rest
     if fmt == "json":
         write("]\n")
 
 
-def _header(kind: str) -> str:
-    return "index,value" if kind in SCALAR_KINDS else "index,e11,e12,e21,e22"
-
-
 def cmd_term(args) -> int:
-    value = _route(args, args.n)[1](args.n)
+    row = next(_rows(args, args.n))
+    header, key, field = _LAYOUT[args.kind]
     if args.format == "csv":
-        _write_rows("csv", _header(args.kind), [(args.n, {"value": value})])
+        _write_rows("csv", header, [(key, field["csv"])], [row])
     else:
-        sys.stdout.write(_text(value, args.format) + "\n")
+        sys.stdout.write(field[args.format].format(*row[1:]) + "\n")
     return 0
 
 
 def cmd_table(args) -> int:
-    params, value = _route(args, args.n_max)
-    kind, lo, hi = args.kind, args.n, args.n_max
-    if kind in SCALAR_KINDS:
-        key, values = "value", _range(params._q if kind == "fib" else params._l, lo, hi)
-    elif args.source in (None, "closed"):
-        key, values = "matrix", _closed_texts(params, kind == "fib-matrix", lo, hi)
-    else:
-        key, values = "matrix", map(value, range(lo, hi + 1))
-    _write_rows(args.format, _header(kind), ((n, {key: v}) for n, v in enumerate(values, lo)))
+    header, key, field = _LAYOUT[args.kind]
+    _write_rows(args.format, header, [(key, field[args.format])], _rows(args, args.n_max))
     return 0
 
 
@@ -162,10 +150,13 @@ def cmd_series(args) -> int:
     if args.order < 1:
         raise CliError("order must be >= 1")
     params = _make_params(args.a, args.b)
+    fmt = args.format
     expansion = lucas_generating_series(params, args.order)
-    rows = ((k, {"series": c, "recurrence": t, "match": c == t})
+    match = ("False", "True") if fmt == "plain" else ("false", "true")
+    rows = ((k, *_spelled(c), *_spelled(t), match[c == t])
             for k, (c, t) in enumerate(zip(expansion, lucas_matrix_rec_iter(params))))
-    _write_rows(args.format, "index,s11,s12,s21,s22,r11,r12,r21,r22,match", rows)
+    fields = [("series", _MATRIX[fmt]), ("recurrence", _MATRIX[fmt]), ("match", "{}")]
+    _write_rows(fmt, "index,s11,s12,s21,s22,r11,r12,r21,r22,match", fields, rows)
     return 0
 
 

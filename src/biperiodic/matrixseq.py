@@ -99,17 +99,19 @@ _FIB_ENTRIES = (((2, 0), (1, 1), (1, 0), (0, 0)), ((2, 1), (1, 1), (1, 0), (0, 1
 _LUCAS_ENTRIES = (((2, 0), (1, 0), (1, 1), (0, 0)), ((2, 1), (1, 0), (1, 1), (0, 1)))
 
 
-def _closed(ratio: Fraction, entries: tuple, window: tuple) -> Mat2:
-    """The matrix whose entries ``entries`` picks from ``window`` =
-    (v_{n-1}, v_n, v_{n+1}) and ``ratio``, built straight into the canonical
-    integer form: the entries over lcm(denominators) * den(ratio), reduced by
-    one gcd. Its Fractions are built only when read."""
-    x, y, z = window
+def _closed(term, params: SeqParams, n: int, ratio: Fraction, entries: tuple) -> Mat2:
+    """The matrix whose entries ``entries[eps(n)]`` picks from the window
+    (v_{n-1}, v_n, v_{n+1}) of ``term`` (q or l) and ``ratio``, built
+    straight into the canonical integer form: the entries over
+    lcm(denominators) * den(ratio), reduced by one gcd. Its Fractions are
+    built only when read."""
+    term(params, n + 1 if n >= 0 else n - 1)  # farthest from 0 first: one memo fill
+    x, y, z = term(params, n - 1), term(params, n), term(params, n + 1)
     xd, yd, zd = x.denominator, y.denominator, z.denominator
     den = lcm(xd, yd, zd)
     nums = (x.numerator * (den // xd), y.numerator * (den // yd), z.numerator * (den // zd))
     scale = (ratio.denominator, ratio.numerator)
-    n11, n12, n21, n22 = [nums[j] * scale[r] for j, r in entries]
+    n11, n12, n21, n22 = [nums[j] * scale[r] for j, r in entries[eps(n)]]
     d = den * scale[0]
     g = gcd(d, n11, n12, n21, n22)
     if g == 1:
@@ -118,13 +120,11 @@ def _closed(ratio: Fraction, entries: tuple, window: tuple) -> Mat2:
 
 
 def fib_matrix_closed(params: SeqParams, n: int) -> Mat2:
-    after, at = q(params, n + 1), q(params, n)  # one memo fill for n >= 0
-    return _closed(params.b_over_a, _FIB_ENTRIES[eps(n)], (q(params, n - 1), at, after))
+    return _closed(q, params, n, params.b_over_a, _FIB_ENTRIES)
 
 
 def lucas_matrix_closed(params: SeqParams, n: int) -> Mat2:
-    after, at = l(params, n + 1), l(params, n)  # one memo fill for n >= 0
-    return _closed(params.a_over_b, _LUCAS_ENTRIES[eps(n)], (l(params, n - 1), at, after))
+    return _closed(l, params, n, params.a_over_b, _LUCAS_ENTRIES)
 
 
 def _closed_texts(params: SeqParams, fib: bool, lo: int, hi: int):

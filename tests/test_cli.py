@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from biperiodic import cli, identities, matrixseq, series
-from biperiodic.exact import Mat2
+from biperiodic.exact import Mat2, _spelled
 from biperiodic.identities import SuiteReport
 from biperiodic.sequences import SeqParams
 
@@ -248,8 +248,8 @@ class TestTable:
     @pytest.mark.parametrize("kind", ["fib-matrix", "lucas-matrix"])
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_closed_rows_match_the_closed_matrices(self, capsys, kind, fmt):
-        # each row the three-term window spells is the closed matrix's text,
-        # and the whole table is the bytes of --source all, which builds
+        # each row the three-term window spells is the closed matrix's entry
+        # texts, and the whole table is the bytes of --source all, which builds
         # every matrix (only the closed one below 0)
         closed = (matrixseq.fib_matrix_closed if kind == "fib-matrix"
                   else matrixseq.lucas_matrix_closed)
@@ -258,7 +258,7 @@ class TestTable:
             p = SeqParams(F(a), F(b))
             rows = matrixseq._closed_texts(SeqParams(F(a), F(b)), kind == "fib-matrix", lo, hi)
             for n, row in zip(range(lo, hi + 1), rows, strict=True):
-                assert cli._text(row, fmt) == cli._text(closed(p, n), fmt), (a, b, n)
+                assert row == _spelled(closed(p, n)), (a, b, n)
             argv = ["table", "--kind", kind, f"--a={a}", f"--b={b}", f"--n={lo}",
                     "--n-max", str(hi), "--format", fmt]
             _, out, _ = run_cli(capsys, *argv)
@@ -298,6 +298,29 @@ def test_rejected_call_prints_nothing(capsys, argv, fmt):
     assert code == 2
     assert captured.out == ""
     assert captured.err
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_route_disagreement_exits_2_after_the_rows_written(capsys, monkeypatch, fmt):
+    # a Binet route that is wrong from n = 3 on: a term stops before it
+    # writes, and a table keeps the rows written before the disagreement
+    binet = cli.fib_matrix_binet
+    monkeypatch.setattr(cli, "fib_matrix_binet",
+                        lambda p, n: binet(p, n) + Mat2.identity() if n >= 3 else binet(p, n))
+    params = ["--kind", "fib-matrix", "--a=1/2", "--b=5/3", "--format", fmt]
+    _, agreed, _ = run_cli(capsys, "table", *params, "--n", "0", "--n-max", "2")
+    message = "error: computation routes disagree; please report this\n"
+    assert run_cli(capsys, "term", *params, "--n", "3", "--source", "all") == (2, "", message)
+    code, out, err = run_cli(capsys, "table", *params, "--n=-2", "--n-max", "5",
+                             "--source", "all")
+    _, below, _ = run_cli(capsys, "table", *params, "--n=-2", "--n-max", "-1")
+    assert (code, err) == (2, message)
+    if fmt == "json":
+        assert out == below[:-2] + "," + agreed[1:-2]
+    elif fmt == "csv":
+        assert out == below + agreed.split("\n", 1)[1]
+    else:
+        assert out == below + agreed
 
 
 def test_closed_pipe_exits_1_quietly():
@@ -361,6 +384,19 @@ def test_table_from_zero_keeps_no_terms():
          "--n-max", "1400", "--format", "json"])
     assert peak < 0.05 * written
 
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "fib", "--a=5", "--b=7", "--n", "4000", "--format", "csv"],
+    ["--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n", "1400", "--format", "json"],
+])
+def test_term_keeps_one_term_not_the_memo(argv):
+    # a term from 0 up is a one-row walk that stores nothing: the peaks read
+    # 5.3x (fib) and 3.2x (lucas-matrix) of the bytes written, and the bound
+    # leaves about 4x over the higher; a memo of the terms up to n reads
+    # about 1,000x and 108x
+    cli._parser()
+    peak, written = _table_peak(["term", *argv])
+    assert peak < 20 * written, (peak, written)
 
 class TestSeries:
     def test_five_rows_all_match(self, capsys):

@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+from biperiodic import sequences
 from biperiodic.exact import IrrationalResidue, Mat2, QuadElement
 from biperiodic.identities import default_grid
 from biperiodic.matrixseq import (
@@ -262,6 +263,23 @@ def test_closed_forms_equal_fraction_built_matrices(p):
             assert got == want, (p, n)
             assert got.entries() == want.entries(), (p, n)
             assert got._form == want._form, (p, n)
+
+
+@pytest.mark.parametrize("n", [50, -50, 1, -1, 49, -49])
+@pytest.mark.parametrize("closed", [fib_matrix_closed, lucas_matrix_closed])
+def test_cold_closed_term_fills_the_memo_in_one_walk(monkeypatch, closed, n):
+    # the window's term farthest from 0 is read first, so the other two are
+    # already stored when they are read
+    starts = []
+    walk = sequences._integer_walk
+
+    def counted(*seeds):
+        starts.append(seeds)
+        return walk(*seeds)
+
+    monkeypatch.setattr(sequences, "_integer_walk", counted)
+    closed(SeqParams(F(1, 2), F(5, 3)), n)
+    assert len(starts) == 1
 
 
 class TestEntryConsistency:
