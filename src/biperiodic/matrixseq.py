@@ -100,13 +100,13 @@ _LUCAS_ENTRIES = (((2, 0), (1, 0), (1, 1), (0, 0)), ((2, 1), (1, 0), (1, 1), (0,
 
 
 def _closed(term, params: SeqParams, n: int, ratio: Fraction, entries: tuple) -> Mat2:
-    """The matrix whose entries ``entries[eps(n)]`` picks from the window
-    (v_{n-1}, v_n, v_{n+1}) of ``term`` (q or l) and ``ratio``, built
-    straight into the canonical integer form: the entries over
-    lcm(denominators) * den(ratio), reduced by one gcd. Its Fractions are
-    built only when read."""
-    term(params, n + 1 if n >= 0 else n - 1)  # farthest from 0 first: one memo fill
-    x, y, z = term(params, n - 1), term(params, n), term(params, n + 1)
+    """The matrix whose entries ``entries[eps(n)]`` picks from ``ratio`` and
+    the window (v_{n-1}, v_n, v_{n+1}) of ``term`` (q or l), built straight
+    into the canonical integer form: the entries over lcm(denominators) *
+    den(ratio), reduced by one gcd. Its Fractions are built only when read."""
+    side = 1 if n >= 0 else -1  # read the term farthest from 0 first: one memo fill
+    far, at, near = term(params, n + side), term(params, n), term(params, n - side)
+    x, y, z = (near, at, far) if side == 1 else (far, at, near)
     xd, yd, zd = x.denominator, y.denominator, z.denominator
     den = lcm(xd, yd, zd)
     nums = (x.numerator * (den // xd), y.numerator * (den // yd), z.numerator * (den // zd))

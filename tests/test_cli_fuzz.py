@@ -2,7 +2,13 @@
 with good and malformed rationals, must end in exit code 0, 1 or 2 (returned
 by ``cli.main`` or raised by argparse as ``SystemExit``) and never in any
 other exception. Costs are kept small by the bounds: |n| <= 60, order <= 30,
-and ``verify`` always on one given pair with n-max <= 2."""
+and ``verify`` always on one given pair with n-max <= 2.
+
+The tests set no deadline anywhere. Where ``CI`` is set, recent Hypothesis
+releases load their built-in ``ci`` profile, which ``conftest.py`` keeps, so
+CI runs them derandomized: the same examples on every run. That is wanted:
+a CI failure then replays from the commit alone, and local runs keep drawing
+new examples."""
 
 import contextlib
 import io
