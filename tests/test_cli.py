@@ -398,6 +398,7 @@ def test_term_keeps_one_term_not_the_memo(argv):
     peak, written = _table_peak(["term", *argv])
     assert peak < 20 * written, (peak, written)
 
+
 class TestSeries:
     def test_five_rows_all_match(self, capsys):
         code, out, _ = run_cli(
