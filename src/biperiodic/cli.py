@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .exact import Mat2, _spelled, parse_rational
+from .exact import Mat2, _fraction_text, _spelled, parse_rational
 from .identities import default_grid, run_full_suite
 from .matrixseq import (
     _closed_texts,
@@ -71,7 +71,7 @@ def _rows(args, last: int):
         raise CliError("--n-max must be >= --n")
     if kind in SCALAR_KINDS:
         terms = _range(params._q if kind == "fib" else params._l, lo, last)
-        return ((n, str(v)) for n, v in enumerate(terms, lo))
+        return ((n, _fraction_text(*v)) for n, v in enumerate(terms, lo))
     source = source or "closed"
     if source in ("rec", "binet") and lo < 0:
         raise CliError(f"source '{source}' requires n >= 0; use --source closed")

@@ -127,6 +127,14 @@ def _entry(x) -> Fraction:
     raise TypeError(f"expected an int or a Fraction, not {type(x).__name__}")
 
 
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for n/d in lowest terms with d > 0, with no second gcd:
+    the two slots of every Fraction (3.10 to 3.13) are set directly."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
 def _integer_form(entries) -> IntForm:
     """The canonical integer form of four Fractions.
 
@@ -267,15 +275,17 @@ class Mat2:
         return "[[{}, {}], [{}, {}]]".format(*_spelled(self))
 
 
+def _fraction_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for n/d in lowest terms with d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _spelled(m: Mat2) -> tuple[str, str, str, str]:
     """The text ``str(Fraction)`` gives each entry, read from the integer
     form with one gcd per entry and no Fraction built."""
     *numerators, d = m._form
-    texts = []
-    for n in numerators:
-        g = gcd(n, d)
-        texts.append(str(n // g) if g == d else f"{n // g}/{d // g}")
-    return tuple(texts)
+    common = [gcd(n, d) for n in numerators]
+    return tuple(_fraction_text(n // g, d // g) for n, g in zip(numerators, common))
 
 
 def _from_form(form: IntForm) -> Mat2:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import IrrationalResidue, Mat2, QuadElement, _from_form
+from .exact import IrrationalResidue, Mat2, QuadElement, _fraction_text, _from_form
 from .sequences import BinetDegenerate, SeqParams, _range, eps, l, l_walk, q, q_walk
 
 
@@ -132,11 +132,15 @@ def _closed_texts(params: SeqParams, fib: bool, lo: int, hi: int):
     of scalar terms, each spelled once bare and once times the ratio."""
     table, ratio, entries = ((params._q, params.b_over_a, _FIB_ENTRIES) if fib
                              else (params._l, params.a_over_b, _LUCAS_ENTRIES))
-    spelled = ((str(v), str(ratio * v)) for v in _range(table, lo - 1, hi + 1))
-    window = (None, next(spelled), next(spelled))
-    for n, after in zip(range(lo, hi + 1), spelled):
+    s, t = ratio.numerator, ratio.denominator
+    window = (None, None, None)
+    # term v_{n+1} = v/d completes row n's window
+    for n, (v, d) in enumerate(_range(table, lo - 1, hi + 1), lo - 2):
+        g, h = gcd(v, t), gcd(s, d)  # all that v s / (d t) shares, as Fraction multiplies
+        after = _fraction_text(v, d), _fraction_text(v // g * (s // h), d // h * (t // g))
         window = (window[1], window[2], after)
-        yield tuple([window[j][r] for j, r in entries[n & 1]])
+        if n >= lo:
+            yield tuple([window[j][r] for j, r in entries[n & 1]])
 
 
 def _require_binet(params: SeqParams, n: int) -> None:

@@ -13,24 +13,23 @@ walk the memo stores, so reads need no sign. Hence q_{-1} = 1, q_{-2} = -a,
 l_{-1} = -a and l_{-2} = ab + 2.
 
 :func:`q` and :func:`l` keep every term they have made, per instance and
-per direction, as reduced Fractions, and fill the missing ones from
-:func:`_integer_walk`: the same walk on integer numerators over one growing
-denominator, so a stored term costs two int products, a sum and the one gcd
-that reduces it, and no Fraction arithmetic. Unless ab is -1, -2 or -3,
-where the sequence is periodic, v_n has O(n) digits, so a fill up to n
-makes O(n) reductions of O(n)-digit integers and keeps O(n^2) digits; at
-large n those reductions set its cost. A run of terms, :func:`_range`,
-stores only those below 0. :func:`q_direct` and :func:`l_direct` stay on
-:func:`alternating_walk`, the independent reference.
+per direction, as reduced Fractions, filled from :func:`_integer_walk`: the
+same walk on integer numerators over one growing denominator, so a term is
+two int products, a sum and the one gcd that reduces it, and no Fraction
+arithmetic. Unless ab is -1, -2 or -3, where the sequence is periodic, v_n
+has O(n) digits, so a fill up to n makes O(n) reductions of O(n)-digit
+integers and keeps O(n^2) digits. A run of terms, :func:`_range`, yields
+the walk's reduced int pairs and stores nothing. :func:`q_direct` and
+:func:`l_direct` stay on :func:`alternating_walk`, the independent reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
-from .exact import RationalLike, _entry
+from .exact import RationalLike, _coprime_fraction, _entry
 
 
 class BinetDegenerate(ValueError):
@@ -53,29 +52,31 @@ def alternating_walk(v0, v1, even, odd):
 
 
 def _integer_walk(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
-    """The terms of ``alternating_walk(v0, v1, even, odd)`` for Fractions,
-    stepped on integers. With v_k = w_k / p_k and p_k = p_{k-1} den(c_k),
-    w_k = num(c_k) w_{k-1} + den(even) den(odd) w_{k-2}: two int products
-    and a sum per step, and one reduction when term k is built. Where the
-    terms' own denominators stay small (ab = -1, -2 or -3 makes the sequence
-    periodic), p would grow for nothing, so the walk restarts from its last
-    two terms once p is longer than twice their denominator plus 64 bits."""
+    """The terms of ``alternating_walk(v0, v1, even, odd)`` for Fractions as
+    reduced (numerator, denominator) pairs, stepped on integers. With
+    v_k = w_k / p_k, p_k = p_{k-1} den(c_k) and w_k = num(c_k) w_{k-1} +
+    den(even) den(odd) w_{k-2}, a step is two int products, a sum and one gcd.
+    Where the terms' own denominators stay small (ab = -1, -2 or -3 makes the
+    sequence periodic), p would grow for nothing, so the walk restarts from
+    its last two terms once p is longer than twice their denominator + 64 bits."""
     c, d, c_next, d_next = even.numerator, even.denominator, odd.numerator, odd.denominator
     dd = d * d_next
-    yield v0
-    yield v1
+    n0, d0, n1, d1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
+    yield n0, d0
+    yield n1, d1
     while True:
         # v0 = w_0 / p_0 and v1 = w_1 / p_1 with p_0 = lcm(den v0, den v1)
-        p = lcm(v0.denominator, v1.denominator)
-        prev = v0.numerator * (p // v0.denominator)
+        p = lcm(d0, d1)
+        prev = n0 * (p // d0)
         p *= d_next
-        cur = v1.numerator * (p // v1.denominator)
+        cur = n1 * (p // d1)
         while True:
             prev, cur, p = cur, c * cur + dd * prev, p * d
-            v0, v1 = v1, Fraction(cur, p)
-            yield v1
+            g = gcd(cur, p)
+            n0, d0, n1, d1 = n1, d1, cur // g, p // g
+            yield n1, d1
             c, d, c_next, d_next = c_next, d_next, c, d
-            if p.bit_length() > 2 * v1.denominator.bit_length() + 64:
+            if p.bit_length() > 2 * d1.bit_length() + 64:
                 break
 
 
@@ -95,20 +96,20 @@ def _memo_term(table: tuple, n: int) -> Fraction:
     if k >= j:
         if j & 1:  # the walk's step i is step j - 2 + i of the sequence
             even, odd = odd, even
-        new = list(islice(_integer_walk(terms[j - 2], terms[j - 1], even, odd),
-                          2, k - j + 3))
+        new = [_coprime_fraction(*v) for v in
+               islice(_integer_walk(terms[j - 2], terms[j - 1], even, odd), 2, k - j + 3)]
         terms[j:j + len(new)] = new
     return terms[k]
 
 
 def _range(table: tuple, lo: int, hi: int):
-    """v_lo, ..., v_hi: those below 0 read back from the memo after one fill
-    to |lo|, the rest from one integer walk from v_0, v_1 that stores nothing."""
+    """v_lo, ..., v_hi as reduced (numerator, denominator) pairs from one
+    integer walk out from v_0 on each side of 0 that it covers; stores nothing."""
     if lo < 0:
-        _memo_term(table, lo)
-        yield from table[1][2][-lo:max(-hi - 1, 0):-1]
+        even, odd, terms = table[1]
+        yield from reversed([*islice(_integer_walk(*terms[:2], even, odd), max(-hi, 1), 1 - lo)])
     even, odd, terms = table[0]
-    yield from islice(_integer_walk(terms[0], terms[1], even, odd), max(lo, 0), max(hi + 1, 0))
+    yield from islice(_integer_walk(*terms[:2], even, odd), max(lo, 0), max(hi + 1, 0))
 
 
 def _walk_term(table: tuple, n: int) -> Fraction:

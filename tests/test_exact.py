@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biperiodic.exact import Mat2, QuadElement
+from biperiodic.exact import Mat2, QuadElement, _coprime_fraction
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -323,3 +323,12 @@ class TestQuadIntegerForm:
         assert _value(a**n) == _quad_ref_pow(_value(a), n, r)
         # an algebraic integer stays integral: no denominator appears
         assert (QuadElement(x[0], x[1], 1, r) ** n).d == 1
+
+
+@pytest.mark.parametrize("n, d", [(0, 1), (-7, 1), (5, 3), (-2171, 216), (3**200, 2**150)])
+def test_coprime_fraction_is_the_reduced_fraction(n, d):
+    # the memo's wrap of a reduced pair, which skips Fraction's gcd
+    got, want = _coprime_fraction(n, d), F(n, d)
+    assert type(got) is F and (got.numerator, got.denominator) == (n, d)
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert got + F(-1, 6) == want + F(-1, 6)

@@ -175,6 +175,10 @@ def test_memo_fills_resumed_in_any_order_match_the_walk(a, b):
         assert {n: (q(p, n), l(p, n)) for n in want} == want
 
 
+def _pair(v: F) -> tuple[int, int]:
+    return v.numerator, v.denominator
+
+
 # (1/2, 5/3) grows, (5, 7) is integer, (3/2, -2/3) is periodic, where the
 # integer walk restarts, and (2, -2) has ab = -4
 RANGE_PAIRS = [(F(1, 2), F(5, 3)), (5, 7), (F(3, 2), F(-2, 3)), (2, -2)]
@@ -186,7 +190,7 @@ def test_range_reads_every_span_like_single_terms(a, b):
     # single terms and ranges that end below 0; each on a fresh memo
     reference = SeqParams(a, b)
     for kernel, name in ((q, "_q"), (l, "_l")):
-        want = {n: kernel(reference, n) for n in range(-7, 9)}
+        want = {n: _pair(kernel(reference, n)) for n in range(-7, 9)}
         for lo in range(-7, 9):
             for hi in range(lo, 9):
                 got = list(sequences._range(getattr(SeqParams(a, b), name), lo, hi))
@@ -200,13 +204,32 @@ def test_long_ranges_match_single_terms(a, b, lo, hi):
     reference = SeqParams(a, b)
     for kernel, name in ((q, "_q"), (l, "_l")):
         got = list(sequences._range(getattr(SeqParams(a, b), name), lo, hi))
-        assert got == [kernel(reference, n) for n in range(lo, hi + 1)], (a, b, name)
+        assert got == [_pair(kernel(reference, n)) for n in range(lo, hi + 1)], (a, b, name)
 
 
-def test_range_stores_only_the_terms_below_zero():
+def test_range_stores_nothing():
+    # each side of 0 is its own walk from the two seeds; the memo keeps them
     p = SeqParams(F(1, 2), F(5, 3))
     assert len(list(sequences._range(p._q, -30, 400))) == 431
-    assert [len(terms) for _, _, terms in p._q] == [2, 31]
+    assert [terms for _, _, terms in p._q] == [[0, 1], [0, 1]]
+
+
+def test_range_builds_no_fraction(monkeypatch):
+    # the terms come out as the walk's reduced int pairs, with no Fraction
+    # built to hold them
+    reference = SeqParams(F(1, 2), F(5, 3))
+    want = [_pair(q(reference, n)) for n in range(-500, 501)]
+    p = SeqParams(F(1, 2), F(5, 3))
+    calls = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(
+        lambda *args, **kwargs: calls.append(args) or new(*args, **kwargs)))
+    assert F(1, 2) == F(2, 4) and len(calls) == 2
+    calls.clear()
+    got = list(sequences._range(p._q, -500, 500))
+    assert calls == []
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_memo_fill_does_no_fraction_arithmetic(monkeypatch):
@@ -235,7 +258,8 @@ def test_integer_walk_restarts_only_where_denominators_stay_small(a, b, monkeypa
     monkeypatch.setattr(sequences, "lcm", lambda *x: starts.append(x) or math.lcm(*x))
     p = SeqParams(a, b)
     walk = list(islice(sequences._integer_walk(F(0), F(1), p.a, p.b), 2001))
-    assert walk == list(islice(sequences.alternating_walk(F(0), F(1), p.a, p.b), 2001))
+    want = islice(sequences.alternating_walk(F(0), F(1), p.a, p.b), 2001)
+    assert walk == [_pair(v) for v in want]
     if p.disc < 0:
         assert 10 < len(starts) < 100, len(starts)
     else:
