@@ -5,28 +5,27 @@ q_0 = 0, q_1 = 1; l alternates the opposite way (a on odd, b on even) with
 l_0 = 2, l_1 = a. Both, and the matrix sequences of :mod:`.matrixseq`, are
 walks of one recurrence, :func:`alternating_walk`.
 
-Negative indices need no second recurrence. By the sign identity,
+Negative indices need no second walk. By the sign identity,
 u_k = (-1)^k v_{-k} obeys the same recurrence with the same parity
-coefficients from u_0 = v_0, u_1 = odd v_0 - v_1; equivalently v_{-k} walks
-with both coefficients negated from v_0, v_{-1} = v_1 - odd v_0, which is the
-walk the memo stores, so reads need no sign. Hence q_{-1} = 1, q_{-2} = -a,
-l_{-1} = -a and l_{-2} = ab + 2.
+coefficients from u_0 = v_0, u_1 = odd v_0 - v_1: (0, -1) for q and (2, a)
+for l, so u = -q, u = l and each n < 0 is read as +-v_|n| from the one forward
+walk: q_{-1} = 1, q_{-2} = -a, l_{-1} = -a and l_{-2} = ab + 2. Only the
+reference :func:`_walk_term` walks v_{-k} itself, with negated coefficients.
 
-:func:`q` and :func:`l` keep every term they have made, per instance and
-per direction, as reduced Fractions, filled from :func:`_integer_walk`: the
-same walk on integer numerators over one growing denominator, so a term is
-two int products, a sum and the one gcd that reduces it, and no Fraction
-arithmetic. Unless ab is -1, -2 or -3, where the sequence is periodic, v_n
-has O(n) digits, so a fill up to n makes O(n) reductions of O(n)-digit
-integers and keeps O(n^2) digits. A run of terms, :func:`_range`, yields
-the walk's reduced int pairs and stores nothing. :func:`q_direct` and
+:func:`q` and :func:`l` keep every term v_0, v_1, ... they have made, per
+instance, as reduced Fractions filled from :func:`_integer_walk`, the same
+walk on integer numerators over one growing denominator: per term two int
+products, a sum and one gcd, and no Fraction arithmetic. Unless ab is -1, -2
+or -3 (a periodic sequence), v_n has O(n) digits, so a fill up to n makes O(n)
+reductions of O(n)-digit integers and keeps O(n^2) digits. :func:`_range`
+yields the walk's reduced int pairs and stores nothing; :func:`q_direct` and
 :func:`l_direct` stay on :func:`alternating_walk`, the independent reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, lcm
 
 from .exact import RationalLike, _coprime_fraction, _entry
@@ -80,42 +79,42 @@ def _integer_walk(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
                 break
 
 
-def _table(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction) -> tuple:
-    """Memo of one sequence as plain data, one walk per direction:
-    (even, odd, [v_0, v_1, ...]) and (-even, -odd, [v_0, v_{-1}, ...])."""
-    return (even, odd, [v0, v1]), (-even, -odd, [v0, v1 - odd * v0])
-
-
 def _memo_term(table: tuple, n: int) -> Fraction:
-    """v_n, first storing any missing terms from a fresh integer walk resumed
-    at the last two stored ones. Racing fills store equal values in one slice
-    assignment each and never remove a slot."""
-    even, odd, terms = table[1] if n < 0 else table[0]
-    k = abs(n)
-    j = len(terms)
+    """v_n (for n < 0, v_|n| signed by the table's flip), first storing any missing
+    terms from a fresh integer walk resumed at the last two stored ones. Racing
+    fills store equal values in one slice assignment each and never remove a slot."""
+    even, odd, flip, terms = table
+    k, j = abs(n), len(terms)
     if k >= j:
         if j & 1:  # the walk's step i is step j - 2 + i of the sequence
             even, odd = odd, even
         new = [_coprime_fraction(*v) for v in
                islice(_integer_walk(terms[j - 2], terms[j - 1], even, odd), 2, k - j + 3)]
         terms[j:j + len(new)] = new
-    return terms[k]
+    return -terms[k] if n < 0 and k & 1 == flip else terms[k]
 
 
 def _range(table: tuple, lo: int, hi: int):
-    """v_lo, ..., v_hi as reduced (numerator, denominator) pairs from one
-    integer walk out from v_0 on each side of 0 that it covers; stores nothing."""
+    """v_lo, ..., v_hi as reduced (numerator, denominator) pairs from one integer
+    walk up to v_max(|lo|, hi); stores nothing. For lo < 0 the call keeps
+    v_0..v_|lo| in a list, reads the terms below 0 from it signed, then walks on."""
+    even, odd, flip, terms = table
+    walk = _integer_walk(terms[0], terms[1], even, odd)
     if lo < 0:
-        even, odd, terms = table[1]
-        yield from reversed([*islice(_integer_walk(*terms[:2], even, odd), max(-hi, 1), 1 - lo)])
-    even, odd, terms = table[0]
-    yield from islice(_integer_walk(*terms[:2], even, odd), max(lo, 0), max(hi + 1, 0))
+        head = [*islice(walk, 1 - lo)]
+        for k in range(-lo, max(-hi, 1) - 1, -1):
+            yield (-head[k][0], head[k][1]) if k & 1 == flip else head[k]
+        walk = chain(head, walk)
+    yield from islice(walk, max(lo, 0), max(hi + 1, 0))
 
 
 def _walk_term(table: tuple, n: int) -> Fraction:
-    """v_n as term |n| of a fresh walk from the two seeds of ``table``."""
-    even, odd, terms = table[1] if n < 0 else table[0]
-    return next(islice(alternating_walk(terms[0], terms[1], even, odd), abs(n), None))
+    """v_n as term |n| of a fresh walk from the two seeds of ``table``, for n < 0
+    with both coefficients negated from v_0, v_{-1} = v_1 - odd v_0: no sign rule."""
+    even, odd, v0, v1 = *table[:2], *table[3][:2]
+    if n < 0:
+        even, odd, v1 = -even, -odd, v1 - odd * v0
+    return next(islice(alternating_walk(v0, v1, even, odd), abs(n), None))
 
 
 class SeqParams:
@@ -125,7 +124,7 @@ class SeqParams:
     TypeError, as a ``Mat2`` entry does). Carries ab, the ratios b/a and a/b,
     the discriminant D = ab(ab+4) of x^2 - ab x - ab = 0, whose roots alpha
     and beta the Binet route uses, and per-instance memos as plain data, so
-    instances pickle and copy: the q and l tables, the powers (b/a)^e that
+    instances pickle and copy: q's and l's terms from 0 up, the powers (b/a)^e that
     :meth:`ratio_times` has used and the per-pair constants (seed matrices,
     series terms) that :mod:`.matrixseq` and :mod:`.series` have built.
     Instances are immutable apart from the internal memo growth.
@@ -135,8 +134,7 @@ class SeqParams:
                  "binet_allowed", "_q", "_l", "_ratio_powers", "_seeds")
 
     def __init__(self, a: RationalLike, b: RationalLike):
-        a = _entry(a)
-        b = _entry(b)
+        a, b = _entry(a), _entry(b)
         if a == 0:
             raise ValueError("parameter a must be nonzero")
         if b == 0:
@@ -149,9 +147,10 @@ class SeqParams:
         self.disc = self.ab * (self.ab + 4)
         # D = 0 collapses alpha and beta and every Binet denominator with it
         self.binet_allowed = self.ab != -4
-        # the one statement of which coefficient goes with which parity
-        self._q = _table(Fraction(0), Fraction(1), even=a, odd=b)
-        self._l = _table(Fraction(2), a, even=b, odd=a)
+        # (even, odd, flip, [v_0, v_1, ...]): which coefficient goes with which parity, and
+        # v_{-k} = -v_k when k & 1 == flip, so q_{-k} = (-1)^(k+1) q_k and l_{-k} = (-1)^k l_k
+        self._q = (a, b, 0, [Fraction(0), Fraction(1)])
+        self._l = (b, a, 1, [Fraction(2), a])
         self._ratio_powers = {}
         self._seeds = {}
 
@@ -199,12 +198,12 @@ def l_direct(params: SeqParams, n: int) -> Fraction:
 
 def q_walk(params: SeqParams, v0, v1):
     """Endless walk from v0, v1 with q's step coefficients."""
-    return alternating_walk(v0, v1, *params._q[0][:2])
+    return alternating_walk(v0, v1, *params._q[:2])
 
 
 def l_walk(params: SeqParams, v0, v1):
     """Endless walk from v0, v1 with l's step coefficients."""
-    return alternating_walk(v0, v1, *params._l[0][:2])
+    return alternating_walk(v0, v1, *params._l[:2])
 
 
 def lucas_from_fib_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:

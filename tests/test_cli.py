@@ -366,9 +366,9 @@ def _table_peak(argv):
 
 
 def test_table_holds_one_row_not_the_range():
-    # the walk below 0 holds l_{-1}..l_{-701} as int pairs while it reads
-    # them back, so this bounds the rows kept beside it: building the whole
-    # table first peaks at about 5x its size
+    # the range holds l_0..l_701 as int pairs, read back signed below 0 and
+    # then again from 0 up, so this bounds the rows kept beside it: building
+    # the whole table first peaks at about 5x its size
     peak, written = _table_peak(
         ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=-700",
          "--n-max", "700", "--format", "json", "--source", "closed"])

@@ -301,6 +301,20 @@ class TestEntryConsistency:
 
 
 
+def _adj(m: Mat2) -> Mat2:
+    return Mat2(m.e22, -m.e12, -m.e21, m.e11)
+
+
+@pytest.mark.parametrize("p", default_grid(), ids=str)
+def test_closed_forms_below_0_are_signed_adjugates_of_transfer_powers(p):
+    # F_{-n} = (-1)^n adj(F_n) and L_{-n} = (-1)^(n+1) adj(L_n): the closed
+    # form's signed reads below 0 against the transfer power at n >= 0
+    for n in range(21):
+        assert fib_matrix_closed(p, -n) == (-1) ** n * _adj(fib_matrix_rec(p, n)), (p, n)
+        assert (lucas_matrix_closed(p, -n)
+                == (-1) ** (n + 1) * _adj(lucas_matrix_rec(p, n))), (p, n)
+
+
 # every default-grid pair, one with ab = -4 and one with D < 0
 TRANSFER_PAIRS = [*default_grid(), SeqParams(2, -2), SeqParams(F(1, 2), F(-3, 5))]
 

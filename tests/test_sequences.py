@@ -159,7 +159,8 @@ RESUME_PAIRS = [(1, 1), (-3, 7), (2, -2), (F(-1, 2), 8), (1, -1), (F(3, 2), F(-2
 @pytest.mark.parametrize("a, b", RESUME_PAIRS, ids=str)
 def test_memo_fills_resumed_in_any_order_match_the_walk(a, b):
     # reads in a shuffled order over -60..60 make each fill resume at the
-    # last two stored terms from an odd or an even j, in both directions
+    # last two stored terms from an odd or an even j; a read below 0 fills
+    # and signs the same list as one above
     rng = random.Random(20)
     reference = SeqParams(a, b)
     want = {n: (q_direct(reference, n), l_direct(reference, n)) for n in range(-60, 61)}
@@ -169,8 +170,8 @@ def test_memo_fills_resumed_in_any_order_match_the_walk(a, b):
         p = SeqParams(a, b)
         for n in order:
             assert (q(p, n), l(p, n)) == want[n], (a, b, n)
-        stored = [t for table in (p._q, p._l) for _, _, terms in table for t in terms]
-        assert len(stored) == 4 * 61
+        stored = [t for _, _, _, terms in (p._q, p._l) for t in terms]
+        assert len(stored) == 2 * 61
         assert all(type(t) is F for t in stored)
         assert {n: (q(p, n), l(p, n)) for n in want} == want
 
@@ -208,10 +209,28 @@ def test_long_ranges_match_single_terms(a, b, lo, hi):
 
 
 def test_range_stores_nothing():
-    # each side of 0 is its own walk from the two seeds; the memo keeps them
+    # the range walks from the two seeds; each memo list keeps only them
     p = SeqParams(F(1, 2), F(5, 3))
     assert len(list(sequences._range(p._q, -30, 400))) == 431
-    assert [terms for _, _, terms in p._q] == [[0, 1], [0, 1]]
+    assert [p._q[3], p._l[3]] == [[0, 1], [2, F(1, 2)]]
+
+
+@pytest.mark.parametrize("lo, hi, drawn", [(-300, 500, 501), (-300, -200, 301)])
+def test_range_walks_once_up_to_the_farthest_index(monkeypatch, lo, hi, drawn):
+    # the terms below 0 are signed copies of v_1..v_|lo|, so a range draws
+    # max(|lo|, hi) + 1 terms from one walk, not a second walk below 0
+    pulled = []
+    walk = sequences._integer_walk
+
+    def counted(*seeds):
+        for v in walk(*seeds):
+            pulled.append(v)
+            yield v
+
+    monkeypatch.setattr(sequences, "_integer_walk", counted)
+    p = SeqParams(F(1, 2), F(5, 3))
+    assert len(list(sequences._range(p._q, lo, hi))) == hi - lo + 1
+    assert len(pulled) == drawn
 
 
 def test_range_builds_no_fraction(monkeypatch):
