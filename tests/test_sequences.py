@@ -218,7 +218,7 @@ def test_range_stores_nothing():
 @pytest.mark.parametrize("lo, hi, drawn", [(-300, 500, 501), (-300, -200, 301)])
 def test_range_walks_once_up_to_the_farthest_index(monkeypatch, lo, hi, drawn):
     # the terms below 0 are signed copies of v_1..v_|lo|, so a range draws
-    # max(|lo|, hi) + 1 terms from one walk, not a second walk below 0
+    # max(|lo|, hi) + 1 terms from one walk
     pulled = []
     walk = sequences._integer_walk
 
