@@ -22,16 +22,15 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .exact import Mat2, _fraction_text, _spelled, parse_rational
+from .exact import _fraction_text, _spelled, parse_rational
 from .identities import default_grid, run_full_suite
 from .matrixseq import (
     _closed_texts,
+    _rec_range,
     fib_matrix_binet,
     fib_matrix_closed,
-    fib_matrix_rec,
     lucas_matrix_binet,
     lucas_matrix_closed,
-    lucas_matrix_rec,
     lucas_matrix_rec_iter,
 )
 from .sequences import SeqParams, _range
@@ -80,21 +79,34 @@ def _rows(args, last: int):
     if source == "closed":
         texts = _closed_texts(params, kind == "fib-matrix", lo, last)
     else:
-        texts = (_spelled(_matrix_value(params, kind, n, source)) for n in range(lo, last + 1))
+        texts = map(_spelled, _matrix_values(params, kind == "fib-matrix", source, lo, last))
     return ((n, *t) for n, t in enumerate(texts, lo))
 
 
-def _matrix_value(params: SeqParams, kind: str, n: int, source: str) -> Mat2:
-    routes = (
-        (fib_matrix_closed, fib_matrix_rec, fib_matrix_binet) if kind == "fib-matrix"
-        else (lucas_matrix_closed, lucas_matrix_rec, lucas_matrix_binet))
-    if source != "all":
-        return routes[1 if source == "rec" else 2](params, n)
-    # below 0 only the closed form is defined; Binet needs ab != -4
-    values = [route(params, n) for route in routes[:1 if n < 0 else 2 + params.binet_allowed]]
-    if any(v != values[0] for v in values[1:]):
-        raise CliError("computation routes disagree; please report this")
-    return values[0]
+def _matrix_values(params: SeqParams, fib: bool, source: str, lo: int, hi: int):
+    """F_n (``fib``) or L_n for n = lo..hi by ``source``: Binet one power per
+    row, ``rec`` one walk of the range and ``all`` the checked closed forms."""
+    closed, binet = ((fib_matrix_closed, fib_matrix_binet) if fib
+                     else (lucas_matrix_closed, lucas_matrix_binet))
+    if source == "binet":
+        return (binet(params, n) for n in range(lo, hi + 1))
+    walk = _rec_range(params, fib, max(lo, 0), hi)
+    return walk if source == "rec" else _checked(params, closed, binet, walk, lo, hi)
+
+
+def _checked(params: SeqParams, closed, binet, walk, lo: int, hi: int):
+    """The closed form of each row n = lo..hi, once ``walk``'s next matrix and
+    Binet agree with it; below 0 only the closed form is defined, and Binet
+    needs ab != -4."""
+    for n in range(lo, hi + 1):
+        values = [closed(params, n)]
+        if n >= 0:
+            values.append(next(walk))
+            if params.binet_allowed:
+                values.append(binet(params, n))
+        if any(v != values[0] for v in values[1:]):
+            raise CliError("computation routes disagree; please report this")
+        yield values[0]
 
 
 # The templates of a row's fields by format: a rational and a matrix

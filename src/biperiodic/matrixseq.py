@@ -6,7 +6,8 @@ Each sequence is computed three independent ways:
   coefficients and L_n with l's. A single term, ``*_rec(p, n)``, applies the
   two-step transfer-matrix power to the seeds in O(log n) products;
   ``*_rec_iter(p)`` walks the recurrence one step per term
-  (:func:`.sequences.alternating_walk`),
+  (:func:`.sequences.alternating_walk`), and a range walks on from the
+  powers to its first two terms,
 * entrywise closed form built from the scalar kernels (any integer n); a
   run of them is spelled as text from one walk of the scalar terms,
 * Binet form (n >= 0, requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
@@ -28,10 +29,12 @@ The three routes must agree exactly; the closed form is
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .exact import IrrationalResidue, Mat2, QuadElement, _fraction_text, _from_form
-from .sequences import BinetDegenerate, SeqParams, _range, eps, l, l_walk, q, q_walk
+from .sequences import (BinetDegenerate, SeqParams, _range, alternating_walk, eps, l, l_walk,
+                        q, q_walk)
 
 
 def _fib_seed(params: SeqParams) -> tuple[Mat2, Mat2]:
@@ -90,6 +93,20 @@ def fib_matrix_rec_iter(params: SeqParams):
 def lucas_matrix_rec_iter(params: SeqParams):
     """Endless generator of L_0, L_1, ... by one recurrence step each."""
     return l_walk(params, *_seed(params, _lucas_seed))
+
+
+def _rec_range(params: SeqParams, fib: bool, lo: int, hi: int):
+    """F_lo..F_hi (``fib``) or L_lo..L_hi, 0 <= lo: the transfer powers to v_lo
+    and v_lo+1, then one recurrence step per row. A one-row range is one power."""
+    rec, even, odd = ((fib_matrix_rec, params.a, params.b) if fib
+                      else (lucas_matrix_rec, params.b, params.a))
+    if lo == hi:
+        yield rec(params, lo)
+        return
+    if lo & 1:  # the walk's step k is step lo + k of the sequence
+        even, odd = odd, even
+    yield from islice(alternating_walk(rec(params, lo), rec(params, lo + 1), even, odd),
+                      hi - lo + 1)
 
 
 # The closed forms' entries e11, e12, e21, e22 for even and for odd n: (j, r)

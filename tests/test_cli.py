@@ -265,6 +265,27 @@ class TestTable:
             _, out_all, _ = run_cli(capsys, *argv, "--source", "all")
             assert out == out_all
 
+    @pytest.mark.parametrize("kind", ["fib-matrix", "lucas-matrix"])
+    @pytest.mark.parametrize("a, b", [("5", "7"), ("1/2", "5/3"), ("3/2", "-2/3"), ("2", "-2"),
+                                      ("1/2", "-3/5")],
+                             ids=["fast", "slow", "bounded", "ab=-4", "D<0"])
+    def test_walked_rows_match_the_per_index_routes(self, capsys, kind, a, b):
+        # rec rows are one walk from two transfer powers and all rows check it
+        # row by row; each row is the per-index transfer power (rec) or the
+        # closed form (all), from even and odd starts and in one-row ranges
+        p = SeqParams(F(a), F(b))
+        fib = kind == "fib-matrix"
+        routes = {"rec": matrixseq.fib_matrix_rec if fib else matrixseq.lucas_matrix_rec,
+                  "all": matrixseq.fib_matrix_closed if fib else matrixseq.lucas_matrix_closed}
+        ranges = [(0, 0), (1, 1), (9, 9), (0, 12), (1, 13), (8, 20), (9, 21)]
+        for source, lo, hi in [*(("rec", *r) for r in ranges), *(("all", *r) for r in ranges),
+                               ("all", -7, 6), ("all", -6, 0), ("all", -3, 1)]:
+            code, out, err = run_cli(capsys, "table", "--kind", kind, f"--a={a}", f"--b={b}",
+                                     f"--n={lo}", "--n-max", str(hi), "--source", source)
+            rows = "".join(f"{n},{','.join(_spelled(routes[source](p, n)))}\n"
+                           for n in range(lo, hi + 1))
+            assert (code, out, err) == (0, "index,e11,e12,e21,e22\n" + rows, ""), (source, lo)
+
 
 # Every exit-2 call of TestTerm and TestTable, and the range checks a table
 # makes before its first row
@@ -383,6 +404,36 @@ def test_table_from_zero_keeps_no_terms():
         ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=0",
          "--n-max", "1400", "--format", "json"])
     assert peak < 0.05 * written
+
+
+def test_rec_table_keeps_two_rows_not_the_range():
+    # the walk holds the two matrices it steps from: the peak reads 0.034 of
+    # the 3.9 MB written, and a walk kept whole would read 0.44
+    peak, written = _table_peak(
+        ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=0",
+         "--n-max", "1400", "--format", "json", "--source", "rec"])
+    assert peak < 0.1 * written
+
+
+@pytest.mark.parametrize("kind", ["fib-matrix", "lucas-matrix"])
+@pytest.mark.parametrize("source", ["rec", "all"])
+def test_a_range_makes_two_transfer_powers(capsys, monkeypatch, kind, source):
+    # v_lo and v_lo+1 by transfer power, the rest by one step each, and a
+    # term by its one power; below 0 the walk of all starts at 0
+    made = []
+    for name in ("fib_matrix_rec", "lucas_matrix_rec"):
+        rec = getattr(matrixseq, name)
+        monkeypatch.setattr(matrixseq, name, lambda p, n, rec=rec: made.append(n) or rec(p, n))
+    params = ["--kind", kind, "--a=1/2", "--b=5/3", "--source", source]
+    cases = [(["table", "--n", "0", "--n-max", "1"], [0, 1]),
+             (["table", "--n", "7", "--n-max", "60"], [7, 8]),
+             (["term", "--n", "7"], [7])]
+    if source == "all":
+        cases.append((["table", "--n=-3", "--n-max", "30"], [0, 1]))
+    for argv, powers in cases:
+        made.clear()
+        code, _, _ = run_cli(capsys, *argv, *params)
+        assert (code, made) == (0, powers), argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from biperiodic.exact import IrrationalResidue, Mat2, QuadElement
 from biperiodic.identities import default_grid
 from biperiodic.matrixseq import (
     _binet,
+    _rec_range,
     cassini_lucas_sides,
     fib_matrix_binet,
     fib_matrix_closed,
@@ -300,6 +301,9 @@ class TestEntryConsistency:
             assert m.e12 == (p.b / p.a) * q(p, n)
 
 
+# every default-grid pair, one with ab = -4 and one with D < 0
+TRANSFER_PAIRS = [*default_grid(), SeqParams(2, -2), SeqParams(F(1, 2), F(-3, 5))]
+
 
 def _adj(m: Mat2) -> Mat2:
     return Mat2(m.e22, -m.e12, -m.e21, m.e11)
@@ -315,8 +319,13 @@ def test_closed_forms_below_0_are_signed_adjugates_of_transfer_powers(p):
                 == (-1) ** (n + 1) * _adj(lucas_matrix_rec(p, n))), (p, n)
 
 
-# every default-grid pair, one with ab = -4 and one with D < 0
-TRANSFER_PAIRS = [*default_grid(), SeqParams(2, -2), SeqParams(F(1, 2), F(-3, 5))]
+@pytest.mark.parametrize("p", [p for p in TRANSFER_PAIRS if p.binet_allowed], ids=str)
+def test_closed_forms_below_0_are_signed_adjugates_of_binet_forms(p):
+    # the same sign identity read against the Binet route, D < 0 included
+    for n in range(21):
+        assert fib_matrix_closed(p, -n) == (-1) ** n * _adj(fib_matrix_binet(p, n)), (p, n)
+        assert (lucas_matrix_closed(p, -n)
+                == (-1) ** (n + 1) * _adj(lucas_matrix_binet(p, n))), (p, n)
 
 
 class TestTransferPower:
@@ -347,3 +356,20 @@ class TestTransferPower:
                 elapsed += time.perf_counter() - start
                 assert value == binet(p, n), (rec.__name__, n)
         assert elapsed < 2.0, f"four deep rec terms took {elapsed:.2f}s, budget 2s"
+
+
+# a fast pair (|ab| = 35), a slow one (ab = 5/6), a bounded one (ab = -1),
+# one with ab = -4 and one with D < 0 that is not periodic
+RANGE_PAIRS = [SeqParams(5, 7), SeqParams(F(1, 2), F(5, 3)), SeqParams(F(3, 2), F(-2, 3)),
+               SeqParams(2, -2), SeqParams(F(1, 2), F(-3, 5))]
+
+
+@pytest.mark.parametrize("p", RANGE_PAIRS, ids=str)
+@pytest.mark.parametrize("lo, hi", [(0, 0), (1, 1), (12, 12), (13, 13), (0, 20), (1, 21),
+                                    (12, 31), (13, 32)])
+def test_range_rows_equal_transfer_powers(p, lo, hi):
+    # from even and odd starts the walk steps with the coefficients of each
+    # row's own parity; a one-row range is the one power itself
+    for fib, rec in ((True, fib_matrix_rec), (False, lucas_matrix_rec)):
+        rows = list(_rec_range(p, fib, lo, hi))
+        assert rows == [rec(p, n) for n in range(lo, hi + 1)], (p, rec.__name__, lo, hi)
