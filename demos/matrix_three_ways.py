@@ -32,7 +32,7 @@ print("=" * 72)
 p = SeqParams(2, 3)
 u, v = p.ab.numerator, p.ab.denominator  # ab = u/v in lowest terms
 r = u * (u + 4 * v)
-print(f"discriminant D = ab(ab+4) = {p.disc}, r = u(u+4v) = {r}")
+print(f"discriminant D = ab(ab+4) = {p.ab * (p.ab + 4)}, r = u(u+4v) = {r}")
 print(f"alpha = (u + sqrt(r))/(2v) = ({u} + sqrt({r}))/{2 * v}")
 print(f"beta  = (u - sqrt(r))/(2v) = ({u} - sqrt({r}))/{2 * v}")
 print()
@@ -47,13 +47,13 @@ print()
 
 print("A perfect-square discriminant (alpha and beta land in Q):")
 sq = SeqParams(F(-3, 2), F(-3, 2))
-print(f"  a = b = -3/2, D = {sq.disc} = (15/4)^2")
+print(f"  a = b = -3/2, D = {sq.ab * (sq.ab + 4)} = (15/4)^2")
 print(f"  L_6 Binet == L_6 recurrence: {lucas_matrix_binet(sq, 6) == lucas_matrix_rec(sq, 6)}")
 print()
 
 print("A negative discriminant (alpha and beta are complex, still exact):")
 neg = SeqParams(3, -1)
-print(f"  a = 3, b = -1, D = {neg.disc}")
+print(f"  a = 3, b = -1, D = {neg.ab * (neg.ab + 4)}")
 print(f"  F_9 Binet == F_9 recurrence: {fib_matrix_binet(neg, 9) == fib_matrix_rec(neg, 9)}")
 print()
 

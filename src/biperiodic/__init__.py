@@ -17,7 +17,6 @@ from .identities import (
     default_grid,
     family_checks,
     run_full_suite,
-    run_series_suite,
 )
 from .matrixseq import (
     cassini_lucas_sides,
@@ -66,5 +65,4 @@ __all__ = [
     "lucas_partial_sum",
     "q",
     "run_full_suite",
-    "run_series_suite",
 ]

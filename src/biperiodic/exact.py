@@ -7,10 +7,8 @@ Binet route needs for its one power of a quadratic irrational: an unreduced
 (x + y*sqrt(r))/d over ints, with sqrt(r) kept formal.
 
 Everything is immutable and every operation is a pure function, so values are
-safe to share between threads (a :class:`Mat2` caches derived forms of its own
-value; two threads filling the cache at once store equal values). No floats
-appear anywhere: equality of matrices is exact structural equality of
-canonical forms.
+safe to share between threads. No floats appear anywhere: equality of
+matrices is exact structural equality of canonical forms.
 """
 
 from __future__ import annotations
@@ -160,11 +158,10 @@ class Mat2:
     Storage. A matrix is held as four integer numerators over one positive
     common denominator, with no factor shared by all five (see
     :data:`IntForm`). That form is canonical, so every operation runs on
-    plain ints. The entries ``e11``, ``e12``,
+    plain ints, and it is all a matrix holds. The entries ``e11``, ``e12``,
     ``e21``, ``e22`` (and :meth:`entries`, :meth:`rows`) are read-only
-    Fraction views. The integer form is built at construction; a matrix
-    produced by integer arithmetic builds its Fractions only when an entry
-    is read, and caches them.
+    Fraction views, built on read and not cached: :meth:`entries` builds
+    four Fractions, and each ``e11``..``e22`` only its own.
 
     Cost model. A product is eight integer multiplies and one gcd of the
     new denominator with the four numerators; a sum is one gcd of the two
@@ -174,11 +171,10 @@ class Mat2:
     pays a gcd and an object per entry per operation.
     """
 
-    __slots__ = ("_entries", "_form")
+    __slots__ = ("_form",)
 
     def __init__(self, e11, e12, e21, e22):
-        self._entries = (_entry(e11), _entry(e12), _entry(e21), _entry(e22))
-        self._form = _integer_form(self._entries)
+        self._form = _integer_form((_entry(e11), _entry(e12), _entry(e21), _entry(e22)))
 
     @classmethod
     def identity(cls) -> Mat2:
@@ -189,29 +185,24 @@ class Mat2:
         return _from_form((0, 0, 0, 0, 1))
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        entries = self._entries
-        if entries is None:
-            n11, n12, n21, n22, d = self._form
-            entries = self._entries = (
-                Fraction(n11, d), Fraction(n12, d), Fraction(n21, d), Fraction(n22, d)
-            )
-        return entries
+        n11, n12, n21, n22, d = self._form
+        return Fraction(n11, d), Fraction(n12, d), Fraction(n21, d), Fraction(n22, d)
 
     @property
     def e11(self) -> Fraction:
-        return self.entries()[0]
+        return Fraction(self._form[0], self._form[4])
 
     @property
     def e12(self) -> Fraction:
-        return self.entries()[1]
+        return Fraction(self._form[1], self._form[4])
 
     @property
     def e21(self) -> Fraction:
-        return self.entries()[2]
+        return Fraction(self._form[2], self._form[4])
 
     @property
     def e22(self) -> Fraction:
-        return self.entries()[3]
+        return Fraction(self._form[3], self._form[4])
 
     def rows(self) -> list[list[Fraction]]:
         e11, e12, e21, e22 = self.entries()
@@ -291,7 +282,6 @@ def _spelled(m: Mat2) -> tuple[str, str, str, str]:
 def _from_form(form: IntForm) -> Mat2:
     """A Mat2 over a canonical integer form; its Fractions are built on read."""
     m = object.__new__(Mat2)
-    m._entries = None
     m._form = form
     return m
 
@@ -318,20 +308,12 @@ def _add_forms(x: IntForm, y: IntForm) -> Mat2:
     a11, a12, a21, a22, d1 = x
     b11, b12, b21, b22, d2 = y
     g = gcd(d1, d2)
-    if g == 1:
-        return _from_form((
-            a11 * d2 + b11 * d1,
-            a12 * d2 + b12 * d1,
-            a21 * d2 + b21 * d1,
-            a22 * d2 + b22 * d1,
-            d1 * d2,
-        ))
     s, t = d1 // g, d2 // g
     n11 = a11 * t + b11 * s
     n12 = a12 * t + b12 * s
     n21 = a21 * t + b21 * s
     n22 = a22 * t + b22 * s
-    g = gcd(g, n11, n12, n21, n22)
+    g = 1 if g == 1 else gcd(g, n11, n12, n21, n22)
     if g == 1:
         return _from_form((n11, n12, n21, n22, s * d2))
     return _from_form((n11 // g, n12 // g, n21 // g, n22 // g, s * (d2 // g)))

@@ -490,8 +490,8 @@ def family_checks(family: str, params: SeqParams, *idx: int) -> list[IdentityChe
 
 
 # These two exist for perfbench's must-work list (ROADMAP item 1), which traces
-# them by name and fails if either reads zero on verify-grid. So _suite runs the
-# thm6 and thm7 rows through them, looked up by module name on each run.
+# them by name and fails if either reads zero on verify-grid. So run_full_suite
+# runs the thm6 and thm7 rows through them, looked up by module name on each run.
 def thm6_suite(params: SeqParams, n: int, *, sides: PairSides, emit, skipped=None) -> int:
     return _run(FAMILIES["thm6"].records, [(n,)], sides, emit, skipped)
 
@@ -500,17 +500,21 @@ def thm7_suite(params: SeqParams, m: int, n: int, *, sides: PairSides, emit, ski
     return _run(FAMILIES["thm7"].records, [(m, n)], sides, emit, skipped)
 
 
-def _suite(grid, max_index: int, order: int | None, suite: str, kinds) -> SuiteReport:
-    """Run each family of :data:`FAMILIES` whose ``series`` flag is in
-    ``kinds`` over every grid pair, one :class:`PairSides` per pair. The
-    series families' output is listed after every pair's other output."""
+def run_full_suite(grid, max_index: int, suite: str = "identities",
+                   order: int | None = None) -> SuiteReport:
+    """The one suite entry point: run the families of :data:`FAMILIES` over
+    every grid pair, one :class:`PairSides` per pair, for all indices up to
+    max_index. The ``series`` families run only if a series ``order`` is
+    given, and their output is listed after every pair's other output.
+    Returns counts plus the failing records only; degenerate (ab = -4) pairs
+    skip the Binet rows with a reason."""
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     report = SuiteReport(suite=suite, params=list(grid))
     tail = SuiteReport(suite=suite)
     views = {"thm6": thm6_suite, "thm7": thm7_suite}
     plan = [(name, family, family.domain(max_index, order))
-            for name, family in FAMILIES.items() if family.series in kinds]
+            for name, family in FAMILIES.items() if order is not None or not family.series]
     for params in report.params:
         # one store per pair, so the pair's shared sides are freed with it
         sides = PairSides(params)
@@ -530,20 +534,3 @@ def _suite(grid, max_index: int, order: int | None, suite: str, kinds) -> SuiteR
     report.skipped += tail.skipped
     report.expected_failures += tail.expected_failures
     return report
-
-
-def run_full_suite(grid, max_index: int, suite: str = "identities",
-                   order: int | None = None) -> SuiteReport:
-    """Run every family of :data:`FAMILIES` over every grid pair, for all
-    indices up to max_index, the series families only if a series ``order``
-    is given. Returns counts plus the failing records only; degenerate
-    (ab = -4) pairs skip the Binet rows with a reason."""
-    return _suite(grid, max_index, order, suite, {False, order is not None})
-
-
-def run_series_suite(grid, max_index: int, order: int) -> SuiteReport:
-    """Check the series facts of the Lucas matrix sequence for every grid
-    pair: the generating function and the full inverse-power sum to
-    ``order`` coefficients, the truncated inverse-power sum and the closed
-    partial sum for n up to max_index, and two negative controls."""
-    return _suite(grid, max_index, order, "series", {True})

@@ -3,7 +3,8 @@
 Each sequence is computed three independent ways:
 
 * recurrence from the initial matrices (n >= 0): F_n steps with q's
-  coefficients and L_n with l's. A single term, ``*_rec(p, n)``, applies the
+  coefficients and L_n with l's, each read from the one statement of that
+  step rule in :class:`.SeqParams`. A single term, ``*_rec(p, n)``, applies the
   two-step transfer-matrix power to the seeds in O(log n) products;
   ``*_rec_iter(p)`` walks the recurrence one step per term
   (:func:`.sequences.alternating_walk`), and a range walks on from the
@@ -33,8 +34,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from .exact import IrrationalResidue, Mat2, QuadElement, _fraction_text, _from_form
-from .sequences import (BinetDegenerate, SeqParams, _range, alternating_walk, eps, l, l_walk,
-                        q, q_walk)
+from .sequences import BinetDegenerate, SeqParams, _range, alternating_walk, eps, l, q
 
 
 def _fib_seed(params: SeqParams) -> tuple[Mat2, Mat2]:
@@ -77,29 +77,29 @@ def _transfer(v0: Mat2, v1: Mat2, even: Fraction, odd: Fraction, n: int) -> Mat2
 
 def fib_matrix_rec(params: SeqParams, n: int) -> Mat2:
     """F_n from F_0, F_1 and the transfer power of q's steps (a even, b odd)."""
-    return _transfer(*_seed(params, _fib_seed), params.a, params.b, n)
+    return _transfer(*_seed(params, _fib_seed), *params._q[:2], n)
 
 
 def lucas_matrix_rec(params: SeqParams, n: int) -> Mat2:
     """L_n from L_0, L_1 and the transfer power of l's steps (b even, a odd)."""
-    return _transfer(*_seed(params, _lucas_seed), params.b, params.a, n)
+    return _transfer(*_seed(params, _lucas_seed), *params._l[:2], n)
 
 
 def fib_matrix_rec_iter(params: SeqParams):
     """Endless generator of F_0, F_1, ... by one recurrence step each."""
-    return q_walk(params, *_seed(params, _fib_seed))
+    return alternating_walk(*_seed(params, _fib_seed), *params._q[:2])
 
 
 def lucas_matrix_rec_iter(params: SeqParams):
     """Endless generator of L_0, L_1, ... by one recurrence step each."""
-    return l_walk(params, *_seed(params, _lucas_seed))
+    return alternating_walk(*_seed(params, _lucas_seed), *params._l[:2])
 
 
 def _rec_range(params: SeqParams, fib: bool, lo: int, hi: int):
     """F_lo..F_hi (``fib``) or L_lo..L_hi, 0 <= lo: the transfer powers to v_lo
     and v_lo+1, then one recurrence step per row. A one-row range is one power."""
-    rec, even, odd = ((fib_matrix_rec, params.a, params.b) if fib
-                      else (lucas_matrix_rec, params.b, params.a))
+    rec, table = (fib_matrix_rec, params._q) if fib else (lucas_matrix_rec, params._l)
+    even, odd = table[:2]
     if lo == hi:
         yield rec(params, lo)
         return

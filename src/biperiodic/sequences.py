@@ -122,15 +122,19 @@ class SeqParams:
 
     a and b must be ``int`` or ``Fraction`` (anything else raises
     TypeError, as a ``Mat2`` entry does). Carries ab, the ratios b/a and a/b,
-    the discriminant D = ab(ab+4) of x^2 - ab x - ab = 0, whose roots alpha
-    and beta the Binet route uses, and per-instance memos as plain data, so
-    instances pickle and copy: q's and l's terms from 0 up, the powers (b/a)^e that
-    :meth:`ratio_times` has used and the per-pair constants (seed matrices,
-    series terms) that :mod:`.matrixseq` and :mod:`.series` have built.
+    whether the Binet route applies (ab != -4, where the discriminant
+    D = ab(ab+4) of x^2 - ab x - ab vanishes), and per-instance memos as
+    plain data, so instances pickle and copy: q's and l's terms from 0 up,
+    the powers (b/a)^e that :meth:`ratio_times` has used and the per-pair
+    constants (seed matrices, series terms) that :mod:`.matrixseq` and
+    :mod:`.series` have built.
+    The first two entries of ``_q`` and ``_l`` are each sequence's step
+    coefficients (even, odd), stated once: every walk of q's or l's steps,
+    matrix walks included, reads them there.
     Instances are immutable apart from the internal memo growth.
     """
 
-    __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b", "disc",
+    __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b",
                  "binet_allowed", "_q", "_l", "_ratio_powers", "_seeds")
 
     def __init__(self, a: RationalLike, b: RationalLike):
@@ -144,7 +148,6 @@ class SeqParams:
         self.ab = a * b
         self.b_over_a = b / a
         self.a_over_b = a / b
-        self.disc = self.ab * (self.ab + 4)
         # D = 0 collapses alpha and beta and every Binet denominator with it
         self.binet_allowed = self.ab != -4
         # (even, odd, flip, [v_0, v_1, ...]): which coefficient goes with which parity, and
@@ -194,16 +197,6 @@ def q_direct(params: SeqParams, n: int) -> Fraction:
 def l_direct(params: SeqParams, n: int) -> Fraction:
     """Same value as :func:`l`, from a fresh walk that stores nothing."""
     return _walk_term(params._l, n)
-
-
-def q_walk(params: SeqParams, v0, v1):
-    """Endless walk from v0, v1 with q's step coefficients."""
-    return alternating_walk(v0, v1, *params._q[:2])
-
-
-def l_walk(params: SeqParams, v0, v1):
-    """Endless walk from v0, v1 with l's step coefficients."""
-    return alternating_walk(v0, v1, *params._l[:2])
 
 
 def lucas_from_fib_sides(params: SeqParams, n: int) -> tuple[Fraction, Fraction]:

@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from biperiodic.exact import Mat2, QuadElement, _coprime_fraction
@@ -196,9 +196,13 @@ def _ref_pow(a, n):
 
 
 def _fraction_entries(m):
-    entries = m.entries()
-    assert all(type(e) is F for e in entries)
-    return entries
+    """m's entries, read through entries(), e11..e22 and rows(): the same
+    exact Fractions by each, and m's integer form the canonical one."""
+    views = (m.entries(), (m.e11, m.e12, m.e21, m.e22), tuple(e for row in m.rows() for e in row))
+    assert all(type(e) is F for view in views for e in view)
+    assert views[0] == views[1] == views[2]
+    assert m._form == Mat2(*views[0])._form
+    return views[0]
 
 
 four_rationals = st.tuples(rationals, rationals, rationals, rationals)
@@ -206,8 +210,23 @@ scalars = st.one_of(rationals, st.integers(-30, 30))
 
 
 class TestMat2IntegerForm:
-    """Integer-form arithmetic against an entry-wise Fraction reference."""
+    """Integer-form arithmetic against an entry-wise Fraction reference.
 
+    CI runs these ``@given`` tests derandomized (Hypothesis's ``ci``
+    profile), so the draws there are fixed. The ``@example``s pin the paths
+    a fixed draw might miss, on every run: a sum over coprime denominators
+    (g = 1, no second gcd), a sum whose shared denominator factor the
+    numerators cancel in part, a sum that cancels to the zero matrix, and a
+    product made by integer arithmetic. Every result is read through
+    ``entries()``, ``e11``..``e22`` and ``rows()``, which build its
+    Fractions on read.
+    """
+
+    @example((F(1, 2), F(3, 4), 1, 0), (F(1, 3), F(2, 9), 0, 1))  # d 4 and 9: g = 1
+    # d 12 and 36 share 12; the sum's numerators cancel 2 of it: (1/2, 2/9, 0, 1)
+    @example((F(1, 4), F(1, 6), 0, 0), (F(1, 4), F(1, 18), 0, 1))
+    @example((F(1, 6), F(-1, 4), 2, F(5, 3)), (F(-1, 6), F(1, 4), -2, F(-5, 3)))  # sum is 0
+    @example((F(1, 2), F(3, 4), 1, 0), (F(2, 3), 0, F(-5, 9), 3))  # product over 36 reduces by 3
     @given(four_rationals, four_rationals)
     def test_add_sub_mul(self, x, y):
         a, b = Mat2(*x), Mat2(*y)
@@ -281,6 +300,8 @@ class TestMat2IntegerForm:
             with pytest.raises(AttributeError):
                 setattr(a, name, F(5))
         assert a.entries() == (1, F(1, 2), 3, 4)
+        # the canonical integer form is all a matrix holds, so a read caches nothing
+        assert Mat2.__slots__ == ("_form",) and not hasattr(a, "__dict__")
 
     def test_integer_results_read_as_fractions(self):
         a = Mat2(F(1, 2), 1, 1, 0) * Mat2(2, 0, 0, 2)

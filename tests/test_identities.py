@@ -20,7 +20,6 @@ from biperiodic.identities import (
     default_grid,
     family_checks,
     run_full_suite,
-    run_series_suite,
 )
 from biperiodic.matrixseq import fib_matrix_closed, lucas_matrix_closed
 from biperiodic.sequences import BinetDegenerate, SeqParams, eps, l, q
@@ -372,35 +371,41 @@ class TestNegativeControl:
     def test_series_control_that_holds_fails_the_report(self, monkeypatch):
         # pretend the sign-slipped inverse-power series matched the recurrence
         monkeypatch.setattr(identities, "first_infinite_mismatch", lambda *a, **kw: None)
-        report = run_series_suite([SeqParams(2, 3)], 2, 8)
+        report = run_full_suite([SeqParams(2, 3)], 2, order=8)
         assert [c.name for c in report.failures] == ["invsum.infinite.negctl.unexpectedly-true"]
         assert report.failures[0].index_args == (8,)
-        assert [x.check.name for x in report.expected_failures] == ["invsum.finite.negctl"]
+        assert [x.check.name for x in report.expected_failures] == [
+            "thm6.iii.negctl", "invsum.finite.negctl",
+        ]
 
 
 class TestSeriesSuite:
+    """The series families, which ``run_full_suite`` runs when an order is given."""
+
+    GRID = [SeqParams(2, 3), SeqParams(F(1, 2), 4)]
+
     def test_max_index_validation(self):
         with pytest.raises(ValueError, match="max_index must be >= 0"):
-            run_series_suite([SeqParams(2, 3)], -1, 8)
+            run_full_suite([SeqParams(2, 3)], -1, order=8)
 
     def test_counts_and_controls(self):
-        report = run_series_suite([SeqParams(2, 3), SeqParams(F(1, 2), 4)], 3, 12)
+        report = run_full_suite(self.GRID, 3, order=12)
+        identity = run_full_suite(self.GRID, 3)
         # genfunc + finite n=0..3 + infinite + partial sums n=1..3 + 2 controls
-        assert report.checks_run == 2 * (1 + 4 + 1 + 3 + 2)
+        assert report.checks_run - identity.checks_run == 2 * (1 + 4 + 1 + 3 + 2)
         assert report.ok
-        assert report.suite == "series"
-        assert [x.check.name for x in report.expected_failures] == [
+        series = report.expected_failures[len(identity.expected_failures):]
+        assert [x.check.name for x in series] == [
             "invsum.finite.negctl", "invsum.infinite.negctl",
         ] * 2
 
     def test_full_suite_lists_series_output_last(self):
-        grid = [SeqParams(2, 3), SeqParams(F(1, 2), 4)]
+        grid = self.GRID
         report = run_full_suite(grid, 3, "full", order=12)
-        series = run_series_suite(grid, 3, 12)
-        assert report.checks_run == run_full_suite(grid, 3).checks_run + series.checks_run
         assert [(x.check.name, x.check.params) for x in report.expected_failures] == [
             ("thm6.iii.negctl", grid[0]), ("thm6.iii.negctl", grid[1]),
-            *((x.check.name, x.check.params) for x in series.expected_failures),
+            ("invsum.finite.negctl", grid[0]), ("invsum.infinite.negctl", grid[0]),
+            ("invsum.finite.negctl", grid[1]), ("invsum.infinite.negctl", grid[1]),
         ]
         assert report.suite == "full" and report.ok
 

@@ -159,7 +159,7 @@ class TestTripleAgreement:
         def alpha_minus_beta_ratio(p, k):
             x, y = F(1), F(0)
             for _ in range(k):
-                x, y = x * p.ab / 2 + y * p.disc / 2, x / 2 + y * p.ab / 2
+                x, y = x * p.ab / 2 + y * p.ab * (p.ab + 4) / 2, x / 2 + y * p.ab / 2
             return 2 * y
 
         for p in SAMPLE:

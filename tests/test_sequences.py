@@ -41,14 +41,12 @@ class TestSeqParams:
     def test_derived_quantities(self, a, b):
         p = SeqParams(a, b)
         assert p.ab == a * b
-        assert p.disc == a * b * (a * b + 4)
-        assert p.disc == a * a * b * b + 4 * a * b
         # Vieta on the roots in the Binet route's integer form: with ab = u/v
         # and r = u(u + 4v) = D v^2, alpha, beta = (u +- sqrt(r))/(2v), so
         # alpha + beta = ab and alpha beta = -ab
         u, v = p.ab.numerator, p.ab.denominator
         r = u * (u + 4 * v)
-        assert r == p.disc * v * v
+        assert r == p.ab * (p.ab + 4) * v * v
         alpha = QuadElement(u, 1, 2 * v, r)
         beta = alpha.conj()
         for value, want in ((alpha - (-1) * beta, p.ab), (alpha * beta, -p.ab)):
@@ -279,7 +277,7 @@ def test_integer_walk_restarts_only_where_denominators_stay_small(a, b, monkeypa
     walk = list(islice(sequences._integer_walk(F(0), F(1), p.a, p.b), 2001))
     want = islice(sequences.alternating_walk(F(0), F(1), p.a, p.b), 2001)
     assert walk == [_pair(v) for v in want]
-    if p.disc < 0:
+    if p.ab * (p.ab + 4) < 0:
         assert 10 < len(starts) < 100, len(starts)
     else:
         assert len(starts) == 1
