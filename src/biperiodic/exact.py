@@ -133,6 +133,24 @@ def _coprime_fraction(n: int, d: int) -> Fraction:
     return f
 
 
+def _reduced(x: int, y: int, base: int) -> tuple[int, int]:
+    """x/y in lowest terms as a pair, for y > 0 whose primes all divide base > 0.
+
+    Each common prime of x and y divides h = gcd(x, y, base), and after
+    dividing by h each one left still divides h, so probing h^2 next takes
+    out a repeated prime in O(log e) rounds. A round is two divisions and two
+    remainders of a long int by h and a gcd of short ints: O(len(x)) while
+    the common factor is short, where the gcd of x and y itself costs
+    O(len(x)^2).
+    """
+    h = gcd(x % base, y % base, base)
+    while h > 1:
+        x, y = x // h, y // h
+        h *= h
+        h = gcd(x % h, y % h, h)
+    return x, y
+
+
 def _integer_form(entries) -> IntForm:
     """The canonical integer form of four Fractions.
 

@@ -13,10 +13,11 @@ Each sequence is computed three independent ways:
   run of them is spelled as text from one walk of the scalar terms,
 * Binet form (n >= 0, requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
   likewise from L_0, L_1), where each coefficient s is a combination of
-  alpha^n and beta^n. With ab = u/v in lowest terms, 2v alpha = u + sqrt(r)
-  for r = u(u + 4v) is an algebraic integer, so its power is a pair of
-  plain ints; s must come back rational. Only these scalars leave the
-  rationals; no matrix does.
+  alpha^n and beta^n, read as powers of alpha + 1 and beta + 1 since
+  alpha^2 = ab (alpha + 1). With ab = u/v in lowest terms,
+  2v (alpha + 1) = u + 2v + sqrt(r) for r = u(u + 4v) is an algebraic
+  integer, so its power is a pair of plain ints; s must come back rational.
+  Only these scalars leave the rationals; no matrix does.
 
 The three routes must agree exactly; the closed form is
 
@@ -33,7 +34,8 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from .exact import IrrationalResidue, Mat2, QuadElement, _fraction_text, _from_form
+from .exact import (IrrationalResidue, Mat2, QuadElement, _coprime_fraction, _fraction_text,
+                    _from_form, _reduced)
 from .sequences import BinetDegenerate, SeqParams, _range, alternating_walk, eps, l, q
 
 
@@ -167,32 +169,33 @@ def _require_binet(params: SeqParams, n: int) -> None:
         raise BinetDegenerate("ab = -4 makes alpha = beta; Binet form is undefined")
 
 
-def _binet(params: SeqParams, m1: Mat2, c1, m0: Mat2, c0, power: int, scale: Fraction) -> Mat2:
+def _binet(params: SeqParams, m1: Mat2, c1, m0: Mat2, c0, k: int) -> Mat2:
     """s1 m1 + s0 m0, where for each seed coefficient c
 
-        s = (c(alpha) alpha^power - c(beta) beta^power) / (scale (alpha - beta)).
+        s = (c(alpha) (alpha + 1)^k - c(beta) (beta + 1)^k) / (alpha - beta).
 
     With ab = u/v and r = u(u + 4v), alpha = (u + sqrt(r))/(2v) and beta is
-    its conjugate, so alpha - beta = sqrt(r)/v and alpha^power is
-    g^power / (2v)^power for the algebraic integer g = u + sqrt(r). The
-    numerator n = c(alpha) g^power - c(beta) conj(g)^power must then be a pure
-    multiple of sqrt(r), and s = n.y v / (n.d (2v)^power scale); a nonzero
-    rational part of n means a mistranscribed coefficient and raises
-    IrrationalResidue. sqrt(r) stays formal, so a square r needs no fold.
+    its conjugate, so alpha - beta = sqrt(r)/v and (alpha + 1)^k is
+    h^k / (2v)^k for the algebraic integer h = u + 2v + sqrt(r). The
+    numerator n = c(alpha) h^k - c(beta) conj(h)^k must then be a pure
+    multiple of sqrt(r), and s = n.y v / (n.d (2v)^k), reduced by the primes
+    of 2v n.d alone; a nonzero rational part of n means a mistranscribed
+    coefficient and raises IrrationalResidue. sqrt(r) stays formal, so a
+    square r needs no fold.
     """
     u, v = params.ab.numerator, params.ab.denominator
     r = u * (u + 4 * v)
     alpha = QuadElement(u, 1, 2 * v, r)
     beta = alpha.conj()
-    g_p = QuadElement(u, 1, 1, r) ** power
-    conj_p = g_p.conj()
-    den = (2 * v) ** power * scale.numerator
+    h_k = QuadElement(u + 2 * v, 1, 1, r) ** k
+    conj_k = h_k.conj()
+    den = (2 * v) ** k
 
     def coefficient(c) -> Fraction:
-        n = c(alpha) * g_p - c(beta) * conj_p
+        n = c(alpha) * h_k - c(beta) * conj_k
         if n.x:
             raise IrrationalResidue(f"Binet numerator kept the rational part {n.x}/{n.d}")
-        return Fraction(n.y * v * scale.denominator, n.d * den)
+        return _coprime_fraction(*_reduced(n.y * v, n.d * den, 2 * v * n.d))
 
     return coefficient(c1) * m1 + coefficient(c0) * m0
 
@@ -204,25 +207,31 @@ def fib_matrix_binet(params: SeqParams, n: int) -> Mat2:
              / ((ab)^(n/2) (alpha - beta))
     Odd n:   ((alpha F1 + b F0) alpha^(n-1) - (...beta...) beta^(n-1))
              / ((ab)^((n-1)/2) (alpha - beta))
+
+    alpha^2 = ab (alpha + 1), so alpha^(2k) / (ab)^k is (alpha + 1)^k for
+    k = floor(n/2), and beta's term likewise.
     """
     _require_binet(params, n)
     a, b, ab = params.a, params.b, params.ab
     f0, f1 = _seed(params, _fib_seed)
-    scale = ab ** (n // 2)
     if eps(n) == 0:
-        return _binet(params, f1, lambda _: a, f0, lambda x: x - ab, n, scale)
-    return _binet(params, f1, lambda x: x, f0, lambda _: b, n - 1, scale)
+        return _binet(params, f1, lambda _: a, f0, lambda x: x - ab, n // 2)
+    return _binet(params, f1, lambda x: x, f0, lambda _: b, n // 2)
 
 
 def lucas_matrix_binet(params: SeqParams, n: int) -> Mat2:
     """L_n = A alpha^n - B beta^n with
     A, B = (b L1 + (alpha|beta) L0 - ab L0) / (b^eps(n) (ab)^floor(n/2) (alpha - beta)).
+
+    As for F_n, alpha^n / (b^eps(n) (ab)^floor(n/2)) is
+    (alpha + 1)^floor(n/2) (alpha / b)^eps(n), and beta's term likewise.
     """
     _require_binet(params, n)
     b, ab = params.b, params.ab
     l0, l1 = _seed(params, _lucas_seed)
-    scale = (b ** eps(n)) * (ab ** (n // 2))
-    return _binet(params, l1, lambda _: b, l0, lambda x: x - ab, n, scale)
+    if eps(n) == 0:
+        return _binet(params, l1, lambda _: b, l0, lambda x: x - ab, n // 2)
+    return _binet(params, l1, lambda x: x, l0, lambda x: (x - ab) * x * (1 / b), n // 2)
 
 
 def lucas_det(params: SeqParams, n: int) -> Fraction:

@@ -15,9 +15,11 @@ reference :func:`_walk_term` walks v_{-k} itself, with negated coefficients.
 :func:`q` and :func:`l` keep every term v_0, v_1, ... they have made, per
 instance, as reduced Fractions filled from :func:`_integer_walk`, the same
 walk on integer numerators over one growing denominator: per term two int
-products, a sum and one gcd, and no Fraction arithmetic. Unless ab is -1, -2
-or -3 (a periodic sequence), v_n has O(n) digits, so a fill up to n makes O(n)
-reductions of O(n)-digit integers and keeps O(n^2) digits. :func:`_range`
+products by short ints, a sum and a reduction by the primes of the
+parameters' denominators alone (``exact._reduced``), whose rounds are
+remainders by short ints; no Fraction arithmetic. Unless ab is -1, -2 or -3
+(a periodic sequence), v_n has O(n) digits and a step costs O(n), so a fill
+up to n takes O(n^2) digit operations and keeps O(n^2) digits. :func:`_range`
 yields the walk's reduced int pairs and stores nothing; :func:`q_direct` and
 :func:`l_direct` stay on :func:`alternating_walk`, the independent reference.
 """
@@ -26,9 +28,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice
-from math import gcd, lcm
+from math import lcm
 
-from .exact import RationalLike, _coprime_fraction, _entry
+from .exact import RationalLike, _coprime_fraction, _entry, _reduced
 
 
 class BinetDegenerate(ValueError):
@@ -54,13 +56,17 @@ def _integer_walk(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
     """The terms of ``alternating_walk(v0, v1, even, odd)`` for Fractions as
     reduced (numerator, denominator) pairs, stepped on integers. With
     v_k = w_k / p_k, p_k = p_{k-1} den(c_k) and w_k = num(c_k) w_{k-1} +
-    den(even) den(odd) w_{k-2}, a step is two int products, a sum and one gcd.
+    den(even) den(odd) w_{k-2}, a step is two int products, a sum and a
+    reduction of w_k / p_k: every prime of p_k divides the seeds' and the
+    coefficients' denominators, so ``_reduced`` needs only remainders by short
+    ints and gcds of short ints, never a gcd of two O(k)-digit integers.
     Where the terms' own denominators stay small (ab = -1, -2 or -3 makes the
     sequence periodic), p would grow for nothing, so the walk restarts from
     its last two terms once p is longer than twice their denominator + 64 bits."""
     c, d, c_next, d_next = even.numerator, even.denominator, odd.numerator, odd.denominator
     dd = d * d_next
     n0, d0, n1, d1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
+    base = dd * d0 * d1  # every prime of every p below
     yield n0, d0
     yield n1, d1
     while True:
@@ -71,8 +77,7 @@ def _integer_walk(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
         cur = n1 * (p // d1)
         while True:
             prev, cur, p = cur, c * cur + dd * prev, p * d
-            g = gcd(cur, p)
-            n0, d0, n1, d1 = n1, d1, cur // g, p // g
+            n0, d0, (n1, d1) = n1, d1, _reduced(cur, p, base)
             yield n1, d1
             c, d, c_next, d_next = c_next, d_next, c, d
             if p.bit_length() > 2 * d1.bit_length() + 64:

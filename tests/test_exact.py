@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from biperiodic.exact import Mat2, QuadElement, _coprime_fraction
+from biperiodic.exact import Mat2, QuadElement, _coprime_fraction, _reduced
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -353,3 +353,65 @@ def test_coprime_fraction_is_the_reduced_fraction(n, d):
     assert type(got) is F and (got.numerator, got.denominator) == (n, d)
     assert got == want and hash(got) == hash(want) and str(got) == str(want)
     assert got + F(-1, 6) == want + F(-1, 6)
+
+
+def _gcd_reduced(x: int, y: int) -> tuple[int, int]:
+    g = math.gcd(x, y)
+    return x // g, y // g
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def reducible(draw):
+    """(x, y, base): y > 0 a product of powers of some small primes, base a
+    multiple of each of those primes, and x any int, made to share with y
+    powers of its primes up to and beyond y's own."""
+    primes = draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=4, unique=True))
+    y = shared = 1
+    for p in primes:
+        y *= p ** draw(st.integers(0, 80))
+        shared *= p ** draw(st.integers(0, 90))
+    base = math.prod(primes) * draw(st.integers(1, 30))
+    return draw(st.integers(-10**60, 10**60)) * shared, y, base
+
+
+class TestReduced:
+    """``_reduced`` against ``math.gcd``'s reduction of the same pair.
+
+    CI runs the ``@given`` test derandomized (Hypothesis's ``ci`` profile),
+    so its draws there are the same on every run; local runs draw afresh.
+    The adversarial cases are parametrized below, so every run checks them.
+    """
+
+    @given(reducible())
+    def test_matches_gcd_reduction(self, case):
+        x, y, base = case
+        assert _reduced(x, y, base) == _gcd_reduced(x, y)
+
+    @pytest.mark.parametrize("x, y, base", [
+        (0, 2**70 * 3**5, 6),  # zero comes out as 0/1
+        (0, 1, 1),
+        (-(3**41) * 7, 3**45 * 2, 6),  # a negative x keeps its sign
+        (-5, 2**64, 2),
+        # pure prime powers with exponents just above 2^k: rounds of 5, 5^2, 5^4, ...
+        (5**65 * 11, 5**65, 5),
+        (5**65 * 11, 5**129, 5),
+        (7**1025, 7**1025 * 2, 14),
+        (2**4097 + 2**4096, 2**5000, 2),
+        # base with primes that y lacks, and a base that is a high power itself
+        (2**40 * 3**30 * 17, 2**40 * 3**2, 2**40 * 3 * 19),
+        (12345678910111213, 1, 2**40),
+    ], ids=str)
+    def test_adversarial(self, x, y, base):
+        assert _reduced(x, y, base) == _gcd_reduced(x, y)
+
+    @pytest.mark.parametrize("k", [1, 7, 40, 200])
+    def test_ab_one_common_power(self, k):
+        # a = 1/2^k, b = 2^k (ab = 1): unreduced terms carry 2^(j k) over
+        # 2^(j k + i), so the common power is large and often not a square
+        for j in range(1, 9):
+            for i in (0, 1, 3):
+                x, y = (2**(j * k) + 1) * 2**(j * k) * 3, 2**(j * k + i)
+                assert _reduced(x, y, 2**k) == _gcd_reduced(x, y), (j, i)

@@ -1,10 +1,11 @@
+import math
 import time
 from fractions import Fraction as F
 from itertools import islice
 
 import pytest
 
-from biperiodic import sequences
+from biperiodic import matrixseq, sequences
 from biperiodic.exact import IrrationalResidue, Mat2, QuadElement
 from biperiodic.identities import default_grid
 from biperiodic.matrixseq import (
@@ -146,6 +147,26 @@ class TestTripleAgreement:
             assert binet(p, n) == value, (p, n)
             assert value == rec(p, n), (p, n)
 
+    # ab = 1 with a = 1/2^k; a = 1/2^40 with b = 3^30; a = 3, b = 1/3, where
+    # den(b) cancels against a and leaves ab = 1; negative and square-r pairs
+    @pytest.mark.parametrize("a, b", [(F(1, 2**20), 2**20), (F(1, 2**40), 3**30), (3, F(1, 3)),
+                                      (F(-7, 4), F(9, 10)), (F(1, 2), F(-16, 3)), (6, 10)],
+                             ids=str)
+    def test_binet_coefficients_are_reduced(self, a, b, monkeypatch):
+        # each coefficient is wrapped with no gcd of its own, so it must
+        # come out of the small-prime reduction coprime, over a positive
+        # denominator, and the matrices equal the recurrence route's
+        made = []
+        wrap = matrixseq._coprime_fraction
+        monkeypatch.setattr(matrixseq, "_coprime_fraction",
+                            lambda n, d: made.append((n, d)) or wrap(n, d))
+        p = SeqParams(a, b)
+        for n in (0, 1, 2, 3, 64, 65, 301, 1000):
+            assert fib_matrix_binet(p, n) == fib_matrix_rec(p, n), (p, n)
+            assert lucas_matrix_binet(p, n) == lucas_matrix_rec(p, n), (p, n)
+        assert len(made) == 32
+        assert all(d > 0 and math.gcd(n, d) == 1 for n, d in made)
+
     def test_headline_binet_form_agrees(self):
         # alternative closed form: F_n = A1 (alpha^n - beta^n)
         #   + B1 (alpha^(2 floor(n/2) + 2) - beta^(2 floor(n/2) + 2))
@@ -187,8 +208,8 @@ class TestTripleAgreement:
         alpha = QuadElement(u, 1, 2 * v, u * (u + 4 * v))
         f0, f1 = Mat2.identity(), Mat2(p.b, p.b_over_a, 1, 0)
         with pytest.raises(IrrationalResidue):
-            _binet(p, f1, lambda _: p.a, f0, lambda _: alpha - p.ab, 4, p.ab**2)
-        assert _binet(p, f1, lambda _: p.a, f0, lambda x: x - p.ab, 4, p.ab**2) == (
+            _binet(p, f1, lambda _: p.a, f0, lambda _: alpha - p.ab, 2)
+        assert _binet(p, f1, lambda _: p.a, f0, lambda x: x - p.ab, 2) == (
             fib_matrix_rec(p, 4)
         )
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biperiodic import sequences
+from biperiodic import exact, sequences
 from biperiodic.exact import Mat2, QuadElement
 from biperiodic.identities import default_grid
 from biperiodic.sequences import (
@@ -281,6 +281,42 @@ def test_integer_walk_restarts_only_where_denominators_stay_small(a, b, monkeypa
         assert 10 < len(starts) < 100, len(starts)
     else:
         assert len(starts) == 1
+
+
+# (a, b, terms): ab = 1 with a = 1/2^k, where the unreduced denominator
+# shares a large power of 2 with the numerator; negative parameters; a
+# periodic pair (ab = -3) with prime-power denominators; a = 1/2^40 with
+# b = 3^30. The reference walk on Fractions takes 9.5 s for 3,000 terms of
+# the last pair, so that pair is checked over 600.
+REDUCTION_PAIRS = [(F(1, 2**20), 2**20, 3000), (F(1, 2**3), 2**3, 3000), (F(-3, 2), F(5, 3), 3000),
+                   (F(1, 3**5), F(-3**6), 3000), (F(1, 2**40), 3**30, 600)]
+
+
+@pytest.mark.parametrize("a, b, terms", REDUCTION_PAIRS, ids=str)
+def test_integer_walk_reduces_like_the_fraction_walk(a, b, terms):
+    p = SeqParams(a, b)
+    for even, odd, _, seeds in (p._q, p._l):
+        walk = islice(sequences._integer_walk(*seeds, even, odd), terms)
+        want = islice(sequences.alternating_walk(*seeds, even, odd), terms)
+        assert list(walk) == [_pair(v) for v in want], (a, b, seeds)
+
+
+def test_walk_reduces_by_short_gcds_only(monkeypatch):
+    # each term is reduced by the few small primes of its denominator: no
+    # gcd call has more than one argument over 64 bits, although the terms
+    # have thousands of bits
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    for module in (sequences, exact):
+        monkeypatch.setattr(module, "gcd", counted, raising=False)
+    term = q(SeqParams(F(1, 2), F(5, 3)), 1999)
+    monkeypatch.undo()
+    assert term.denominator.bit_length() > 1000 and len(calls) >= 2000
+    assert all(sum(x.bit_length() > 64 for x in args) <= 1 for args in calls)
 
 
 def _sides_equal(sides) -> bool:
