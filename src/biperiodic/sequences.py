@@ -58,8 +58,9 @@ def _integer_walk(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
     v_k = w_k / p_k, p_k = p_{k-1} den(c_k) and w_k = num(c_k) w_{k-1} +
     den(even) den(odd) w_{k-2}, a step is two int products, a sum and a
     reduction of w_k / p_k: every prime of p_k divides the seeds' and the
-    coefficients' denominators, so ``_reduced`` needs only remainders by short
-    ints and gcds of short ints, never a gcd of two O(k)-digit integers.
+    coefficients' denominators, so ``_reduced`` needs only divisions and
+    remainders by short ints and gcds of short ints, never a gcd of two
+    O(k)-digit integers.
     Where the terms' own denominators stay small (ab = -1, -2 or -3 makes the
     sequence periodic), p would grow for nothing, so the walk restarts from
     its last two terms once p is longer than twice their denominator + 64 bits."""

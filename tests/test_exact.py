@@ -395,7 +395,7 @@ class TestReduced:
         (0, 1, 1),
         (-(3**41) * 7, 3**45 * 2, 6),  # a negative x keeps its sign
         (-5, 2**64, 2),
-        # pure prime powers with exponents just above 2^k: rounds of 5, 5^2, 5^4, ...
+        # pure prime powers with exponents at and just above 2^k: rounds of 5, 5^2, 5^4, ...
         (5**65 * 11, 5**65, 5),
         (5**65 * 11, 5**129, 5),
         (7**1025, 7**1025 * 2, 14),
@@ -410,7 +410,8 @@ class TestReduced:
     @pytest.mark.parametrize("k", [1, 7, 40, 200])
     def test_ab_one_common_power(self, k):
         # a = 1/2^k, b = 2^k (ab = 1): unreduced terms carry 2^(j k) over
-        # 2^(j k + i), so the common power is large and often not a square
+        # 2^(j k + i), so the common power is large and its exponent is
+        # rarely a power of 2
         for j in range(1, 9):
             for i in (0, 1, 3):
                 x, y = (2**(j * k) + 1) * 2**(j * k) * 3, 2**(j * k + i)

@@ -148,9 +148,10 @@ class TestTripleAgreement:
             assert value == rec(p, n), (p, n)
 
     # ab = 1 with a = 1/2^k; a = 1/2^40 with b = 3^30; a = 3, b = 1/3, where
-    # den(b) cancels against a and leaves ab = 1; negative and square-r pairs
+    # den(b) cancels against a and leaves ab = 1; a negative parameter; a
+    # negative r (ab = -8/3) and a square r (ab = 4/3, r = 64)
     @pytest.mark.parametrize("a, b", [(F(1, 2**20), 2**20), (F(1, 2**40), 3**30), (3, F(1, 3)),
-                                      (F(-7, 4), F(9, 10)), (F(1, 2), F(-16, 3)), (6, 10)],
+                                      (F(-7, 4), F(9, 10)), (F(1, 2), F(-16, 3)), (2, F(2, 3))],
                              ids=str)
     def test_binet_coefficients_are_reduced(self, a, b, monkeypatch):
         # each coefficient is wrapped with no gcd of its own, so it must

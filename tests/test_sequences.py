@@ -311,6 +311,7 @@ def test_walk_reduces_by_short_gcds_only(monkeypatch):
         calls.append(args)
         return math.gcd(*args)
 
+    # both modules' gcd names, whether or not each imports one today
     for module in (sequences, exact):
         monkeypatch.setattr(module, "gcd", counted, raising=False)
     term = q(SeqParams(F(1, 2), F(5, 3)), 1999)
