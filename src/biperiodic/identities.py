@@ -489,15 +489,15 @@ def family_checks(family: str, params: SeqParams, *idx: int) -> list[IdentityChe
     return checks
 
 
-# These two exist for perfbench's must-work list (ROADMAP item 1), which traces
-# them by name and fails if either reads zero on verify-grid. So run_full_suite
-# runs the thm6 and thm7 rows through them, looked up by module name on each run.
-def thm6_suite(params: SeqParams, n: int, *, sides: PairSides, emit, skipped=None) -> int:
-    return _run(FAMILIES["thm6"].records, [(n,)], sides, emit, skipped)
+# Two runners that are ``_run`` under the names perfbench's tracer patches and
+# its verify-grid must-work list reads (ROADMAP item 1); run_full_suite looks
+# them up by module name on each run, so a patched one is the one it calls.
+def thm6_suite(records, indices, sides: PairSides, emit, skipped: dict | None = None) -> int:
+    return _run(records, indices, sides, emit, skipped)
 
 
-def thm7_suite(params: SeqParams, m: int, n: int, *, sides: PairSides, emit, skipped=None) -> int:
-    return _run(FAMILIES["thm7"].records, [(m, n)], sides, emit, skipped)
+def thm7_suite(records, indices, sides: PairSides, emit, skipped: dict | None = None) -> int:
+    return _run(records, indices, sides, emit, skipped)
 
 
 def run_full_suite(grid, max_index: int, suite: str = "identities",
@@ -507,25 +507,22 @@ def run_full_suite(grid, max_index: int, suite: str = "identities",
     max_index. The ``series`` families run only if a series ``order`` is
     given, and their output is listed after every pair's other output.
     Returns counts plus the failing records only; degenerate (ab = -4) pairs
-    skip the Binet rows with a reason."""
+    skip the Binet rows with a reason. Each family is one call per pair: of
+    :func:`thm6_suite` or :func:`thm7_suite` for its row, else of ``_run``."""
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     report = SuiteReport(suite=suite, params=list(grid))
     tail = SuiteReport(suite=suite)
-    views = {"thm6": thm6_suite, "thm7": thm7_suite}
-    plan = [(name, family, family.domain(max_index, order))
+    runners = {"thm6": thm6_suite, "thm7": thm7_suite}
+    plan = [(runners.get(name, _run), family, family.domain(max_index, order))
             for name, family in FAMILIES.items() if order is not None or not family.series]
     for params in report.params:
         # one store per pair, so the pair's shared sides are freed with it
         sides = PairSides(params)
-        for name, family, indices in plan:
+        for run, family, indices in plan:
             out = tail if family.series else report
             skipped = {}
-            if name in views:
-                held = sum(views[name](params, *idx, sides=sides, emit=out.record,
-                                       skipped=skipped) for idx in indices)
-            else:
-                held = _run(family.records, indices, sides, out.record, skipped)
+            held = run(family.records, indices, sides, out.record, skipped)
             out.checks_run += held  # after the run, whose emits add to the count too
             out.skipped.extend(SkipRecord(check, why.format(p=params))
                                for pairs, why in skipped.items() for check, _, _ in pairs)

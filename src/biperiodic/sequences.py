@@ -13,15 +13,17 @@ walk: q_{-1} = 1, q_{-2} = -a, l_{-1} = -a and l_{-2} = ab + 2. Only the
 reference :func:`_walk_term` walks v_{-k} itself, with negated coefficients.
 
 :func:`q` and :func:`l` keep every term v_0, v_1, ... they have made, per
-instance, as reduced Fractions filled from :func:`_integer_walk`, the same
-walk on integer numerators over one growing denominator: per term two int
-products by short ints, a sum and a reduction by the primes of the
-parameters' denominators alone (``exact._reduced``), whose rounds are
-remainders by short ints; no Fraction arithmetic. Unless ab is -1, -2 or -3
-(a periodic sequence), v_n has O(n) digits and a step costs O(n), so a fill
-up to n takes O(n^2) digit operations and keeps O(n^2) digits. :func:`_range`
-yields the walk's reduced int pairs and stores nothing; :func:`q_direct` and
-:func:`l_direct` stay on :func:`alternating_walk`, the independent reference.
+instance, as reduced Fractions. A read past the stored terms fills through
+two past its index, so a closed-form window read in index order fills once.
+A fill comes from :func:`_integer_walk`, the same walk on integer numerators
+over one growing denominator: per term two int products by short ints, a sum
+and a reduction by the primes of the parameters' denominators alone
+(``exact._reduced``), whose rounds are remainders by short ints; no Fraction
+arithmetic. Unless ab is -1, -2 or -3 (a periodic sequence), v_n has O(n)
+digits and a step costs O(n), so a fill up to n takes O(n^2) digit
+operations and keeps O(n^2) digits. :func:`_range` yields the walk's reduced
+int pairs and stores nothing; :func:`q_direct` and :func:`l_direct` stay on
+:func:`alternating_walk`, the independent reference.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ def _integer_walk(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
 
 def _memo_term(table: tuple, n: int) -> Fraction:
     """v_n (for n < 0, v_|n| signed by the table's flip), first storing any missing
-    terms from a fresh integer walk resumed at the last two stored ones. Racing
+    terms through v_|n|+2 from a fresh integer walk resumed at the last two stored
+    ones, so a window v_{n-1}, v_n, v_{n+1} read in index order fills once. Racing
     fills store equal values in one slice assignment each and never remove a slot."""
     even, odd, flip, terms = table
     k, j = abs(n), len(terms)
@@ -95,7 +98,7 @@ def _memo_term(table: tuple, n: int) -> Fraction:
         if j & 1:  # the walk's step i is step j - 2 + i of the sequence
             even, odd = odd, even
         new = [_coprime_fraction(*v) for v in
-               islice(_integer_walk(terms[j - 2], terms[j - 1], even, odd), 2, k - j + 3)]
+               islice(_integer_walk(terms[j - 2], terms[j - 1], even, odd), 2, k - j + 5)]
         terms[j:j + len(new)] = new
     return -terms[k] if n < 0 and k & 1 == flip else terms[k]
 

@@ -29,13 +29,14 @@ def _times_unit(c: Fraction, x):
     return x if c == 1 else -x if c == -1 else c * x
 
 
-def expand_rational(num, den, order: int, zero=None) -> tuple:
+def expand_rational(num, den, order: int) -> tuple:
     """Coefficients 0..order-1 of num(x)/den(x), by exact long division.
 
     ``num`` holds ring coefficients (ascending; Fractions and Mat2 both
-    work), padded with ``zero`` past its end; ``den`` holds scalar
-    coefficients with den[0] invertible. Only den's non-zero terms are
-    used, and a term of +-1, like a unit den[0], costs a sum, not a product.
+    work), padded past its end with ``num[0] * 0``, the zero of its ring
+    (``Fraction(0)`` if ``num`` is empty); ``den`` holds scalar coefficients
+    with den[0] invertible. Only den's non-zero terms are used, and a term
+    of +-1, like a unit den[0], costs a sum, not a product.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -47,8 +48,7 @@ def expand_rational(num, den, order: int, zero=None) -> tuple:
     terms = [(j, -c) for j, c in enumerate(den) if j and c]
     # an int coefficient becomes a Fraction, as a product by 1/den[0] would make it
     num = [Fraction(c) if isinstance(c, int) else c for c in num]
-    if zero is None:
-        zero = num[0] * 0 if num else Fraction(0)
+    zero = num[0] * 0 if num else Fraction(0)
     out = []
     for k in range(order):
         acc = num[k] if k < len(num) else zero
@@ -96,9 +96,7 @@ def generating_numerator(params: SeqParams) -> list[Mat2]:
 
 def lucas_generating_series(params: SeqParams, order: int) -> tuple:
     """First ``order`` coefficients of sum_k L_k x^k."""
-    return expand_rational(
-        generating_numerator(params), quartic_denominator(params), order, Mat2.zero()
-    )
+    return expand_rational(generating_numerator(params), quartic_denominator(params), order)
 
 
 def _first_recurrence_mismatch(params: SeqParams, series: tuple, lucas=None) -> int | None:
@@ -223,7 +221,7 @@ def infinite_inverse_sum_series(
     """
     m = inverse_sum_numerator(params, negative_control)
     num = [m[3], m[2], m[1], m[0]]
-    return expand_rational(num, quartic_denominator(params), order, Mat2.zero())
+    return expand_rational(num, quartic_denominator(params), order)
 
 
 def first_infinite_mismatch(

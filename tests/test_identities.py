@@ -201,6 +201,16 @@ class TestRunFullSuite:
         with pytest.raises(ValueError):
             run_full_suite([], -1)
 
+    def test_thm6_and_thm7_runners_run_once_per_pair(self, monkeypatch):
+        # the tracer patches the two runners by name; the suite finds a patched one
+        calls = Counter()
+        for name in ("thm6_suite", "thm7_suite"):
+            runner = getattr(identities, name)
+            monkeypatch.setattr(identities, name, lambda *a, name=name, runner=runner: (
+                calls.update([name]) or runner(*a)))
+        assert run_full_suite(default_grid()[:3], 4).ok
+        assert calls == {"thm6_suite": 3, "thm7_suite": 3}
+
     def test_default_grid_check_count(self):
         report = run_full_suite(default_grid(), 20)
         assert report.checks_run == 249_793
@@ -221,13 +231,13 @@ class TestPairSides:
         p, sides, got, want = self.PAIR, identities.PairSides(self.PAIR), [], []
         emit = lambda name, idx, q, lhs, rhs, _: got.append(
             IdentityCheck(name, idx, q, lhs, rhs, lhs == rhs))
-        for n in range(-4, 7):
-            identities.thm6_suite(p, n, sides=sides, emit=emit)
-            want += family_checks("thm6", p, n)
-        for m in range(0, 6):
-            for n in range(0, 6):
-                identities.thm7_suite(p, m, n, sides=sides, emit=emit)
-                want += family_checks("thm7", p, m, n)
+        for runner, family, indices in (
+            (identities.thm6_suite, "thm6", [(n,) for n in range(-4, 7)]),
+            (identities.thm7_suite, "thm7", [(m, n) for m in range(0, 6) for n in range(0, 6)]),
+        ):
+            runner(identities.FAMILIES[family].records, indices, sides, emit)
+            for idx in indices:
+                want += family_checks(family, p, *idx)
         assert got == want
         assert (len(got), all(c.holds for c in got)) == (11 * 6 + 36 * 6, True)
 

@@ -291,8 +291,8 @@ def test_closed_forms_equal_fraction_built_matrices(p):
 @pytest.mark.parametrize("n", [50, -50, 1, -1, 49, -49])
 @pytest.mark.parametrize("closed", [fib_matrix_closed, lucas_matrix_closed])
 def test_cold_closed_term_fills_the_memo_in_one_walk(monkeypatch, closed, n):
-    # the window's term farthest from 0 is read first, so the other two are
-    # already stored when they are read
+    # the window is read in index order, and the first read's fill runs two
+    # past it, so the other two are already stored when they are read
     starts = []
     walk = sequences._integer_walk
 

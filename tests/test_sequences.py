@@ -158,18 +158,20 @@ RESUME_PAIRS = [(1, 1), (-3, 7), (2, -2), (F(-1, 2), 8), (1, -1), (F(3, 2), F(-2
 def test_memo_fills_resumed_in_any_order_match_the_walk(a, b):
     # reads in a shuffled order over -60..60 make each fill resume at the
     # last two stored terms from an odd or an even j; a read below 0 fills
-    # and signs the same list as one above
+    # and signs the same list as one above. A read past the stored terms
+    # fills through |n| + 2, so 61 to 63 terms are stored, by the order.
     rng = random.Random(20)
     reference = SeqParams(a, b)
     want = {n: (q_direct(reference, n), l_direct(reference, n)) for n in range(-60, 61)}
     for _ in range(4):
         order = list(want)
         rng.shuffle(order)
-        p = SeqParams(a, b)
+        p, end = SeqParams(a, b), 2
         for n in order:
             assert (q(p, n), l(p, n)) == want[n], (a, b, n)
+            end = abs(n) + 3 if abs(n) >= end else end
         stored = [t for _, _, _, terms in (p._q, p._l) for t in terms]
-        assert len(stored) == 2 * 61
+        assert len(stored) == 2 * end
         assert all(type(t) is F for t in stored)
         assert {n: (q(p, n), l(p, n)) for n in want} == want
 

@@ -70,7 +70,7 @@ class TestTruncatedSeries:
 
     def test_matrix_coefficients(self):
         swap = Mat2(0, 1, 1, 0)
-        series = expand_rational([swap], [F(1), F(-2)], 4, Mat2.zero())
+        series = expand_rational([swap], [F(1), F(-2)], 4)
         assert series == tuple(2**k * swap for k in range(4))
 
     def test_order_validation(self):
@@ -91,7 +91,7 @@ class TestTruncatedSeries:
     def test_matches_dense_long_division(self, head, tail, num, order):
         den = [head, *tail]
         zero = Mat2.zero() if isinstance(num[0], Mat2) else F(0)
-        got = expand_rational(num, den, order, zero)
+        got = expand_rational(num, den, order)
         assert got == dense_long_division(num, den, order, zero)
         assert all(type(c) is type(zero) for c in got)
 
