@@ -1,12 +1,11 @@
 """Exact arithmetic for bi-periodic Fibonacci and Lucas numbers, their 2x2
 matrix sequences, and machine verification of the identities relating them.
 
-Every value is an exact rational (a Binet coefficient passes through an
-unreduced integer element (x + y*sqrt(r))/d on its way); no floats, no
-tolerances.
+Every value is an exact rational (a Binet coefficient is read off the two
+integers of a power x + y*sqrt(r) on its way); no floats, no tolerances.
 """
 
-from .exact import IrrationalResidue, Mat2, Rational
+from .exact import Mat2, Rational
 from .identities import (
     GRID_VALUES,
     ExpectedFailure,
@@ -40,7 +39,6 @@ __all__ = [
     "ExpectedFailure",
     "GRID_VALUES",
     "IdentityCheck",
-    "IrrationalResidue",
     "Mat2",
     "Rational",
     "ReportFormatError",

@@ -3,8 +3,8 @@
 The scalars are arbitrary-precision rationals (``fractions.Fraction``,
 re-exported as :data:`Rational`); the matrices (:class:`Mat2`) are 2x2 over
 the rationals only. :class:`QuadElement` is the little ring arithmetic the
-Binet route needs for its one power of a quadratic irrational: an unreduced
-(x + y*sqrt(r))/d over ints, with sqrt(r) kept formal.
+Binet route needs for its one power of a quadratic irrational: x + y*sqrt(r)
+over ints, with sqrt(r) kept formal.
 
 Everything is immutable and every operation is a pure function, so values are
 safe to share between threads. No floats appear anywhere: equality of
@@ -23,15 +23,6 @@ this library relies on: positive denominator, gcd-reduced, zero stored as 0/1.
 """
 
 RationalLike = int | Fraction
-
-
-class IrrationalResidue(ArithmeticError):
-    """A Binet coefficient that must be rational kept an irrational part.
-
-    This is never caused by user input: it can only mean a closed formula
-    was transcribed incorrectly, so it is surfaced loudly instead of being
-    silently truncated.
-    """
 
 
 def _power(base, n: int, one):
@@ -60,55 +51,33 @@ def parse_rational(text: str) -> Fraction:
 
 
 class QuadElement:
-    """(x + y*sqrt(r))/d on plain ints, never reduced.
+    """x + y*sqrt(r) on plain ints, with sqrt(r) kept a formal symbol t.
 
-    sqrt(r) stays a formal symbol t with t^2 = r, so the value lives in
-    Q[t]/(t^2 - r) whatever the sign of r or whether r is a square: a square
-    r only adds zero divisors, such as (s + t)(s - t) = 0 for r = s^2.
-    Supports ``-`` and ``*`` with another element over the same r or with an
-    ``int``/``Fraction``, ``** n`` for n >= 0 and :meth:`conj` (t -> -t).
-    With d = 1 it is an algebraic integer, so its powers need no gcd.
+    t^2 = r, so the value lives in Z[t]/(t^2 - r) whatever the sign of r or
+    whether r is a square: a square r only adds zero divisors, such as
+    (s + t)(s - t) = 0 for r = s^2. Supports ``*`` with another element over
+    the same r and ``** n`` for n >= 0; its powers need no gcd.
     """
 
-    __slots__ = ("x", "y", "d", "r")
+    __slots__ = ("x", "y", "r")
 
-    def __init__(self, x: int, y: int, d: int, r: int):
-        self.x, self.y, self.d, self.r = x, y, d, r
-
-    @staticmethod
-    def _form(other) -> tuple[int, int, int] | None:
-        if isinstance(other, QuadElement):
-            return other.x, other.y, other.d
-        if isinstance(other, (int, Fraction)):
-            return other.numerator, 0, other.denominator
-        return None
-
-    def __sub__(self, other) -> QuadElement:
-        form = self._form(other)
-        if form is None:
-            return NotImplemented
-        x, y, d = form
-        return QuadElement(self.x * d - x * self.d, self.y * d - y * self.d, self.d * d, self.r)
+    def __init__(self, x: int, y: int, r: int):
+        self.x, self.y, self.r = x, y, r
 
     def __mul__(self, other) -> QuadElement:
-        form = self._form(other)
-        if form is None:
+        if not isinstance(other, QuadElement):
             return NotImplemented
-        x, y, d = form
-        return QuadElement(self.x * x + self.y * y * self.r, self.x * y + self.y * x,
-                           self.d * d, self.r)
+        return QuadElement(self.x * other.x + self.y * other.y * self.r,
+                           self.x * other.y + self.y * other.x, self.r)
 
-    # multiplication commutes; a QuadElement left operand never reaches here
+    # perfbench's tracer patches both names from the class __dict__, so the
+    # alias stays although a QuadElement left operand never reaches here
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QuadElement:
         if n < 0:
             raise ValueError("QuadElement powers are defined for n >= 0 only")
-        return _power(self, n, QuadElement(1, 0, 1, self.r))
-
-    def conj(self) -> QuadElement:
-        """sqrt(r) -> -sqrt(r); a ring homomorphism."""
-        return QuadElement(self.x, -self.y, self.d, self.r)
+        return _power(self, n, QuadElement(1, 0, self.r))
 
 
 IntForm = tuple[int, int, int, int, int]

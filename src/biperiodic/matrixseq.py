@@ -16,8 +16,9 @@ Each sequence is computed three independent ways:
   alpha^n and beta^n, read as powers of alpha + 1 and beta + 1 since
   alpha^2 = ab (alpha + 1). With ab = u/v in lowest terms,
   2v (alpha + 1) = u + 2v + sqrt(r) for r = u(u + 4v) is an algebraic
-  integer, so its power is a pair of plain ints; s must come back rational.
-  Only these scalars leave the rationals; no matrix does.
+  integer, so its power is a pair of plain ints X, Y, and each s is a
+  rational read off X and Y. Only that power leaves the rationals; no
+  matrix does.
 
 The three routes must agree exactly; the closed form is
 
@@ -34,8 +35,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
-from .exact import (IrrationalResidue, Mat2, QuadElement, _coprime_fraction, _fraction_text,
-                    _from_form, _reduced)
+from .exact import Mat2, QuadElement, _coprime_fraction, _fraction_text, _from_form, _reduced
 from .sequences import BinetDegenerate, SeqParams, _range, alternating_walk, eps, l, q
 
 
@@ -161,76 +161,47 @@ def _closed_texts(params: SeqParams, fib: bool, lo: int, hi: int):
             yield tuple([window[j][r] for j, r in entries[n & 1]])
 
 
-def _require_binet(params: SeqParams, n: int) -> None:
+def _binet(params: SeqParams, seeds: tuple[Mat2, Mat2], steps: tuple, n: int) -> Mat2:
+    """v_n = s1 v_1 + s0 v_0 for the seeds (v_0, v_1) and the step
+    coefficients (even, odd) of a solution of the alternating recurrence.
+
+    Each s is (c(alpha) (alpha + 1)^k - c(beta) (beta + 1)^k) / (alpha - beta)
+    for k = floor(n/2) and a seed coefficient c = p x + q: for even n, c1 is
+    ``even`` and c0 is x - ab; for odd n, c1 is x and c0 is ``odd`` (for L_n
+    that is (x - ab) x / b, which is a since x^2 = ab (x + 1)). With ab = u/v
+    and r = u(u + 4v), alpha = (u + sqrt(r))/(2v), alpha - beta = sqrt(r)/v
+    and 2v (alpha + 1) = h = u + 2v + sqrt(r). So for h^k = X + Y sqrt(r),
+
+        s = ((p u + 2v q) Y + p X) / (2v)^k,
+
+    rational by construction, and reduced by the primes of 2v den(step)
+    alone. sqrt(r) stays formal, so a square r needs no fold.
+    """
     if n < 0:
         raise ValueError("the Binet route needs n >= 0; use the closed form")
     if not params.binet_allowed:
         raise BinetDegenerate("ab = -4 makes alpha = beta; Binet form is undefined")
-
-
-def _binet(params: SeqParams, m1: Mat2, c1, m0: Mat2, c0, k: int) -> Mat2:
-    """s1 m1 + s0 m0, where for each seed coefficient c
-
-        s = (c(alpha) (alpha + 1)^k - c(beta) (beta + 1)^k) / (alpha - beta).
-
-    With ab = u/v and r = u(u + 4v), alpha = (u + sqrt(r))/(2v) and beta is
-    its conjugate, so alpha - beta = sqrt(r)/v and (alpha + 1)^k is
-    h^k / (2v)^k for the algebraic integer h = u + 2v + sqrt(r). The
-    numerator n = c(alpha) h^k - c(beta) conj(h)^k must then be a pure
-    multiple of sqrt(r), and s = n.y v / (n.d (2v)^k), reduced by the primes
-    of 2v n.d alone; a nonzero rational part of n means a mistranscribed
-    coefficient and raises IrrationalResidue. sqrt(r) stays formal, so a
-    square r needs no fold.
-    """
     u, v = params.ab.numerator, params.ab.denominator
-    r = u * (u + 4 * v)
-    alpha = QuadElement(u, 1, 2 * v, r)
-    beta = alpha.conj()
-    h_k = QuadElement(u + 2 * v, 1, 1, r) ** k
-    conj_k = h_k.conj()
-    den = (2 * v) ** k
-
-    def coefficient(c) -> Fraction:
-        n = c(alpha) * h_k - c(beta) * conj_k
-        if n.x:
-            raise IrrationalResidue(f"Binet numerator kept the rational part {n.x}/{n.d}")
-        return _coprime_fraction(*_reduced(n.y * v, n.d * den, 2 * v * n.d))
-
-    return coefficient(c1) * m1 + coefficient(c0) * m0
+    k = n // 2
+    h_k = QuadElement(u + 2 * v, 1, u * (u + 4 * v)) ** k
+    x, y = h_k.x, h_k.y
+    step = steps[n & 1]
+    d = step.denominator
+    scale, base = (2 * v) ** k, 2 * v * d
+    stepped = _coprime_fraction(*_reduced(2 * v * y * step.numerator, scale * d, base))
+    free = _coprime_fraction(*_reduced(x + u * y if n & 1 else x - u * y, scale, base))
+    v0, v1 = seeds
+    return free * v1 + stepped * v0 if n & 1 else stepped * v1 + free * v0
 
 
 def fib_matrix_binet(params: SeqParams, n: int) -> Mat2:
-    """F_n from powers of alpha and beta, exactly, in even/odd split form.
-
-    Even n:  ((a F1 + (alpha - ab) F0) alpha^n - (...beta...) beta^n)
-             / ((ab)^(n/2) (alpha - beta))
-    Odd n:   ((alpha F1 + b F0) alpha^(n-1) - (...beta...) beta^(n-1))
-             / ((ab)^((n-1)/2) (alpha - beta))
-
-    alpha^2 = ab (alpha + 1), so alpha^(2k) / (ab)^k is (alpha + 1)^k for
-    k = floor(n/2), and beta's term likewise.
-    """
-    _require_binet(params, n)
-    a, b, ab = params.a, params.b, params.ab
-    f0, f1 = _seed(params, _fib_seed)
-    if eps(n) == 0:
-        return _binet(params, f1, lambda _: a, f0, lambda x: x - ab, n // 2)
-    return _binet(params, f1, lambda x: x, f0, lambda _: b, n // 2)
+    """F_n from powers of alpha and beta, exactly (see :func:`_binet`)."""
+    return _binet(params, _seed(params, _fib_seed), params._q[:2], n)
 
 
 def lucas_matrix_binet(params: SeqParams, n: int) -> Mat2:
-    """L_n = A alpha^n - B beta^n with
-    A, B = (b L1 + (alpha|beta) L0 - ab L0) / (b^eps(n) (ab)^floor(n/2) (alpha - beta)).
-
-    As for F_n, alpha^n / (b^eps(n) (ab)^floor(n/2)) is
-    (alpha + 1)^floor(n/2) (alpha / b)^eps(n), and beta's term likewise.
-    """
-    _require_binet(params, n)
-    b, ab = params.b, params.ab
-    l0, l1 = _seed(params, _lucas_seed)
-    if eps(n) == 0:
-        return _binet(params, l1, lambda _: b, l0, lambda x: x - ab, n // 2)
-    return _binet(params, l1, lambda x: x, l0, lambda x: (x - ab) * x * (1 / b), n // 2)
+    """L_n from powers of alpha and beta, exactly (see :func:`_binet`)."""
+    return _binet(params, _seed(params, _lucas_seed), params._l[:2], n)
 
 
 def lucas_det(params: SeqParams, n: int) -> Fraction:

@@ -5,12 +5,14 @@ from itertools import islice
 
 import pytest
 
-from biperiodic import matrixseq, sequences
-from biperiodic.exact import IrrationalResidue, Mat2, QuadElement
-from biperiodic.identities import default_grid
+from biperiodic import identities, matrixseq, sequences
+from biperiodic.exact import Mat2
+from biperiodic.identities import default_grid, run_full_suite
 from biperiodic.matrixseq import (
     _binet,
+    _fib_seed,
     _rec_range,
+    _seed,
     cassini_lucas_sides,
     fib_matrix_binet,
     fib_matrix_closed,
@@ -200,19 +202,24 @@ class TestTripleAgreement:
                 term2 = s2 * ((b ** eps(n)) * f0)
                 assert term1 + term2 == fib_matrix_rec(p, n), (p, n)
 
-    def test_wrong_binet_coefficient_leaves_residue(self):
-        # negative control: the beta half reusing alpha is not rational.
-        # alpha = (u + sqrt(r))/(2v) for ab = u/v and r = u(u + 4v), the
-        # integer form the Binet route itself uses; r = 60 is not a square
-        p = SeqParams(2, 3)
-        u, v = p.ab.numerator, p.ab.denominator
-        alpha = QuadElement(u, 1, 2 * v, u * (u + 4 * v))
-        f0, f1 = Mat2.identity(), Mat2(p.b, p.b_over_a, 1, 0)
-        with pytest.raises(IrrationalResidue):
-            _binet(p, f1, lambda _: p.a, f0, lambda _: alpha - p.ab, 2)
-        assert _binet(p, f1, lambda _: p.a, f0, lambda x: x - p.ab, 2) == (
-            fib_matrix_rec(p, 4)
-        )
+    @staticmethod
+    def _fib_with_lucas_steps(p, n):
+        # negative control: F's seeds under l's step coefficients (b even,
+        # a odd) in place of q's (a even, b odd), a swap only a != b shows
+        return _binet(p, _seed(p, _fib_seed), p._l[:2], n)
+
+    def test_swapped_steps_differ_from_recurrence(self):
+        pairs = [p for p in default_grid() if p.a != p.b and p.binet_allowed]
+        assert pairs
+        for p in pairs:
+            assert any(self._fib_with_lucas_steps(p, n) != fib_matrix_rec(p, n)
+                       for n in (2, 3)), p
+
+    def test_swapped_steps_fail_the_suite(self, monkeypatch):
+        monkeypatch.setattr(identities, "fib_matrix_binet", self._fib_with_lucas_steps)
+        report = run_full_suite([SeqParams(2, 3)], 4)
+        assert not report.ok
+        assert {c.name for c in report.failures} == {"triple.fib.binet-closed"}
 
 
 class TestDegenerate:

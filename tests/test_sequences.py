@@ -42,15 +42,15 @@ class TestSeqParams:
         p = SeqParams(a, b)
         assert p.ab == a * b
         # Vieta on the roots in the Binet route's integer form: with ab = u/v
-        # and r = u(u + 4v) = D v^2, alpha, beta = (u +- sqrt(r))/(2v), so
-        # alpha + beta = ab and alpha beta = -ab
+        # and r = u(u + 4v) = D v^2, 2v alpha, 2v beta = u +- sqrt(r), whose
+        # sum 2u gives alpha + beta = ab and whose product
+        # u^2 - r = -4uv gives alpha beta = -ab
         u, v = p.ab.numerator, p.ab.denominator
         r = u * (u + 4 * v)
         assert r == p.ab * (p.ab + 4) * v * v
-        alpha = QuadElement(u, 1, 2 * v, r)
-        beta = alpha.conj()
-        for value, want in ((alpha - (-1) * beta, p.ab), (alpha * beta, -p.ab)):
-            assert (F(value.x, value.d), value.y) == (want, 0)
+        product = QuadElement(u, 1, r) * QuadElement(u, -1, r)
+        assert (product.x, product.y) == (u * u - r, 0) == (-4 * u * v, 0)
+        assert F(2 * u, 2 * v) == p.ab and F(-4 * u * v, 4 * v * v) == -p.ab
         assert p.binet_allowed == (a * b != -4)
 
     def test_degenerate_flag(self):
