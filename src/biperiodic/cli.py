@@ -58,6 +58,10 @@ def _make_params(a: Fraction, b: Fraction) -> SeqParams:
         raise CliError(str(exc)) from None
 
 
+def _scalar_text(v: tuple[int, int]) -> tuple[str]:
+    return (_fraction_text(*v),)
+
+
 def _rows(args, last: int):
     """(n, *texts) for n = ``args.n``..``last``, the entry texts of
     ``args.kind`` at n, after every check of the range against its source,
@@ -69,8 +73,8 @@ def _rows(args, last: int):
     if last < lo:
         raise CliError("--n-max must be >= --n")
     if kind in SCALAR_KINDS:
-        terms = _range(params._q if kind == "fib" else params._l, lo, last)
-        return ((n, _fraction_text(*v)) for n, v in enumerate(terms, lo))
+        texts = _range(params._q if kind == "fib" else params._l, lo, last, _scalar_text)
+        return ((n, *t) for n, t in enumerate(texts, lo))
     source = source or "closed"
     if source in ("rec", "binet") and lo < 0:
         raise CliError(f"source '{source}' requires n >= 0; use --source closed")

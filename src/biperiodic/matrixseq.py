@@ -10,7 +10,8 @@ Each sequence is computed three independent ways:
   (:func:`.sequences.alternating_walk`), and a range walks on from the
   powers to its first two terms,
 * entrywise closed form built from the scalar kernels (any integer n); a
-  run of them is spelled as text from one walk of the scalar terms,
+  run of them is spelled as text from one walk of the scalar terms, each
+  distinct term spelled once (one period of them when ab is -1, -2 or -3),
 * Binet form (n >= 0, requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
   likewise from L_0, L_1), where each coefficient s is a combination of
   alpha^n and beta^n, read as powers of alpha + 1 and beta + 1 since
@@ -147,15 +148,21 @@ def lucas_matrix_closed(params: SeqParams, n: int) -> Mat2:
 
 def _closed_texts(params: SeqParams, fib: bool, lo: int, hi: int):
     """The entry texts of F_n (``fib``) or L_n for n = lo..hi, from one range
-    of scalar terms, each spelled once bare and once times the ratio."""
+    of scalar terms v_{lo-1}..v_{hi+1}, each distinct term spelled once bare
+    and once times the ratio (:func:`.sequences._range`: a period's terms
+    cycled, and below 0 the texts of v_|n| with their signs flipped)."""
     table, ratio, entries = ((params._q, params.b_over_a, _FIB_ENTRIES) if fib
                              else (params._l, params.a_over_b, _LUCAS_ENTRIES))
     s, t = ratio.numerator, ratio.denominator
-    window = (None, None, None)
-    # term v_{n+1} = v/d completes row n's window
-    for n, (v, d) in enumerate(_range(table, lo - 1, hi + 1), lo - 2):
+
+    def spell(term: tuple[int, int]) -> tuple[str, str]:
+        v, d = term
         g, h = gcd(v, t), gcd(s, d)  # all that v s / (d t) shares, as Fraction multiplies
-        after = _fraction_text(v, d), _fraction_text(v // g * (s // h), d // h * (t // g))
+        return _fraction_text(v, d), _fraction_text(v // g * (s // h), d // h * (t // g))
+
+    window = (None, None, None)
+    # term v_{n+1} completes row n's window
+    for n, after in enumerate(_range(table, lo - 1, hi + 1, spell), lo - 2):
         window = (window[1], window[2], after)
         if n >= lo:
             yield tuple([window[j][r] for j, r in entries[n & 1]])

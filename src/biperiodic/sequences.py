@@ -19,17 +19,24 @@ A fill comes from :func:`_integer_walk`, the same walk on integer numerators
 over one growing denominator: per term two int products by short ints, a sum
 and a reduction by the primes of the parameters' denominators alone
 (``exact._reduced``), whose rounds are remainders by short ints; no Fraction
-arithmetic. Unless ab is -1, -2 or -3 (a periodic sequence), v_n has O(n)
-digits and a step costs O(n), so a fill up to n takes O(n^2) digit
-operations and keeps O(n^2) digits. :func:`_range` yields the walk's reduced
-int pairs and stores nothing; :func:`q_direct` and :func:`l_direct` stay on
-:func:`alternating_walk`, the independent reference.
+arithmetic.
+
+When ab is -1, -2 or -3, every solution of the recurrence repeats with period
+P = 12, 8 or 6 (see :class:`SeqParams`), so :func:`q` and :func:`l` read
+v_{n mod P}: the memo holds at most P + 2 terms and a term at any n costs at
+most one period of steps. For any other ab, v_n has O(n) digits and a step
+costs O(n), so a fill up to n takes O(n^2) digit operations and keeps O(n^2)
+digits. :func:`_range` spells each distinct term of a range once, as text,
+and stores nothing in the memo: the P terms of a period, cycled, or else each
+v_k up to max(|lo|, hi), the text of v_{-k} made from that of v_k.
+:func:`q_direct` and :func:`l_direct` stay on :func:`alternating_walk`, the
+independent reference, and never read the period.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from math import lcm
 
 from .exact import RationalLike, _coprime_fraction, _entry, _reduced
@@ -63,9 +70,10 @@ def _integer_walk(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
     coefficients' denominators, so ``_reduced`` needs only divisions and
     remainders by short ints and gcds of short ints, never a gcd of two
     O(k)-digit integers.
-    Where the terms' own denominators stay small (ab = -1, -2 or -3 makes the
-    sequence periodic), p would grow for nothing, so the walk restarts from
-    its last two terms once p is longer than twice their denominator + 64 bits."""
+    Where the terms' own denominators stay small (an integer ab keeps them
+    dividing den(a); ab = -1, -2 or -3 makes the sequence periodic), p would
+    grow for nothing, so the walk restarts from its last two terms once p is
+    longer than twice their denominator + 64 bits."""
     c, d, c_next, d_next = even.numerator, even.denominator, odd.numerator, odd.denominator
     dd = d * d_next
     n0, d0, n1, d1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
@@ -88,11 +96,15 @@ def _integer_walk(v0: Fraction, v1: Fraction, even: Fraction, odd: Fraction):
 
 
 def _memo_term(table: tuple, n: int) -> Fraction:
-    """v_n (for n < 0, v_|n| signed by the table's flip), first storing any missing
-    terms through v_|n|+2 from a fresh integer walk resumed at the last two stored
-    ones, so a window v_{n-1}, v_n, v_{n+1} read in index order fills once. Racing
-    fills store equal values in one slice assignment each and never remove a slot."""
-    even, odd, flip, terms = table
+    """v_n (for n < 0, v_|n| signed by the table's flip; in a periodic table,
+    v_{n mod P}), first storing any missing terms through v_|n|+2 from a fresh
+    integer walk resumed at the last two stored ones, so a window v_{n-1}, v_n,
+    v_{n+1} read in index order fills once and a periodic memo never holds more
+    than P + 2 terms. Racing fills store equal values in one slice assignment
+    each and never remove a slot."""
+    even, odd, flip, terms, period = table
+    if period:
+        n %= period
     k, j = abs(n), len(terms)
     if k >= j:
         if j & 1:  # the walk's step i is step j - 2 + i of the sequence
@@ -103,18 +115,39 @@ def _memo_term(table: tuple, n: int) -> Fraction:
     return -terms[k] if n < 0 and k & 1 == flip else terms[k]
 
 
-def _range(table: tuple, lo: int, hi: int):
-    """v_lo, ..., v_hi as reduced (numerator, denominator) pairs from one integer
-    walk up to v_max(|lo|, hi); stores nothing. For lo < 0 the call keeps
-    v_0..v_|lo| in a list, reads the terms below 0 from it signed, then walks on."""
-    even, odd, flip, terms = table
+def _negated(text: str) -> str:
+    """The text of -x from the text of a rational x."""
+    if text[0] == "-":
+        return text[1:]
+    return text if text == "0" else "-" + text
+
+
+def _range(table: tuple, lo: int, hi: int, spell):
+    """``spell((numerator, denominator))``, a tuple of texts, for each of v_lo, ...,
+    v_hi in lowest terms, calling ``spell`` once per distinct term of one integer
+    walk and storing nothing in the memo. A periodic table spells its P terms
+    v_0..v_{P-1} and cycles them. Otherwise the walk runs to v_max(|lo|, hi), and
+    each row below 0 takes the texts of v_|n| with every leading "-" flipped where
+    the table's flip rule negates the term; for lo < 0 the call keeps the texts of
+    v_k for k <= min(|lo|, hi), which rows on both sides of 0 read, and the pairs
+    of v_k for the larger k <= |lo|, then spells on from v_|lo|+1."""
+    even, odd, flip, terms, period = table
     walk = _integer_walk(terms[0], terms[1], even, odd)
+    if period:
+        texts = [spell(v) for v in islice(walk, period)]
+        yield from (texts[n % period] for n in range(lo, hi + 1))
+        return
     if lo < 0:
-        head = [*islice(walk, 1 - lo)]
+        shared = max(min(-lo, hi) + 1, 0)
+        texts = [spell(v) for v in islice(walk, shared)]  # read by rows on both sides of 0
+        below = [*islice(walk, 1 - lo - shared)]  # v_shared..v_|lo|
         for k in range(-lo, max(-hi, 1) - 1, -1):
-            yield (-head[k][0], head[k][1]) if k & 1 == flip else head[k]
-        walk = chain(head, walk)
-    yield from islice(walk, max(lo, 0), max(hi + 1, 0))
+            text = texts[k] if k < shared else spell(below.pop())
+            yield tuple(map(_negated, text)) if k & 1 == flip else text
+        yield from texts
+        yield from map(spell, islice(walk, max(hi + lo, 0)))  # v_|lo|+1..v_hi
+    else:
+        yield from map(spell, islice(walk, lo, hi + 1))
 
 
 def _walk_term(table: tuple, n: int) -> Fraction:
@@ -124,6 +157,10 @@ def _walk_term(table: tuple, n: int) -> Fraction:
     if n < 0:
         even, odd, v1 = -even, -odd, v1 - odd * v0
     return next(islice(alternating_walk(v0, v1, even, odd), abs(n), None))
+
+
+# ab: the period of q, l, F_n and L_n, twice the order of the two-step transfer
+_PERIODS = {-1: 12, -2: 8, -3: 6}
 
 
 class SeqParams:
@@ -139,7 +176,11 @@ class SeqParams:
     :mod:`.series` have built.
     The first two entries of ``_q`` and ``_l`` are each sequence's step
     coefficients (even, odd), stated once: every walk of q's or l's steps,
-    matrix walks included, reads them there.
+    matrix walks included, reads them there. The fifth is the period P of
+    every solution of those steps: the two-step transfer T has det 1 and
+    trace ab + 2, so T^2 = (ab + 2) T - I, and T has order 6, 4 or 3 when ab
+    is exactly -1, -2 or -3, which makes P 12, 8 or 6; for any other ab, P
+    is 0 (no period). Only :func:`q`, :func:`l` and :func:`_range` read it.
     Instances are immutable apart from the internal memo growth.
     """
 
@@ -159,10 +200,12 @@ class SeqParams:
         self.a_over_b = a / b
         # D = 0 collapses alpha and beta and every Binet denominator with it
         self.binet_allowed = self.ab != -4
-        # (even, odd, flip, [v_0, v_1, ...]): which coefficient goes with which parity, and
-        # v_{-k} = -v_k when k & 1 == flip, so q_{-k} = (-1)^(k+1) q_k and l_{-k} = (-1)^k l_k
-        self._q = (a, b, 0, [Fraction(0), Fraction(1)])
-        self._l = (b, a, 1, [Fraction(2), a])
+        # (even, odd, flip, [v_0, v_1, ...], period): which coefficient goes with which
+        # parity, v_{-k} = -v_k when k & 1 == flip, so q_{-k} = (-1)^(k+1) q_k and
+        # l_{-k} = (-1)^k l_k, and v_{k+P} = v_k for P > 0
+        period = _PERIODS.get(self.ab, 0)
+        self._q = (a, b, 0, [Fraction(0), Fraction(1)], period)
+        self._l = (b, a, 1, [Fraction(2), a], period)
         self._ratio_powers = {}
         self._seeds = {}
 

@@ -387,9 +387,10 @@ def _table_peak(argv):
 
 
 def test_table_holds_one_row_not_the_range():
-    # the range holds l_0..l_701 as int pairs, read back signed below 0 and
-    # then again from 0 up, so this bounds the rows kept beside it: building
-    # the whole table first peaks at about 5x its size
+    # the range holds the bare and ratio-scaled texts of l_0..l_700, read
+    # signed below 0 and then again from 0 up (the peak reads 0.40 of the
+    # 2.0 MB written), so this bounds the rows kept beside them: building the
+    # whole table first peaks at about 5x its size
     peak, written = _table_peak(
         ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=-700",
          "--n-max", "700", "--format", "json", "--source", "closed"])

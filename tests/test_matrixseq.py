@@ -6,10 +6,11 @@ from itertools import islice
 import pytest
 
 from biperiodic import identities, matrixseq, sequences
-from biperiodic.exact import Mat2
+from biperiodic.exact import Mat2, _spelled
 from biperiodic.identities import default_grid, run_full_suite
 from biperiodic.matrixseq import (
     _binet,
+    _closed_texts,
     _fib_seed,
     _rec_range,
     _seed,
@@ -402,3 +403,29 @@ def test_range_rows_equal_transfer_powers(p, lo, hi):
     for fib, rec in ((True, fib_matrix_rec), (False, lucas_matrix_rec)):
         rows = list(_rec_range(p, fib, lo, hi))
         assert rows == [rec(p, n) for n in range(lo, hi + 1)], (p, rec.__name__, lo, hi)
+
+
+# ab = -1, -2 and -3 with integer, fractional and negative a
+PERIODIC = [SeqParams(F(3, 2), F(-2, 3)), SeqParams(F(1, 2), -4), SeqParams(F(-1, 3), 9),
+            SeqParams(-1, 2), SeqParams(F(-7, 5), F(10, 7))]
+
+
+@pytest.mark.parametrize("p", PERIODIC, ids=str)
+def test_periodic_closed_forms_equal_transfer_powers_at_any_depth(p):
+    # the closed form reads q and l at n mod P; the transfer power never reads
+    # the period, and its entries stay small because T has finite order
+    for n in (10**12, 10**12 + 1, 10**15 + 7):
+        assert fib_matrix_closed(p, n) == fib_matrix_rec(p, n), (p, n)
+        assert lucas_matrix_closed(p, n) == lucas_matrix_rec(p, n), (p, n)
+
+
+@pytest.mark.parametrize("p", PERIODIC, ids=str)
+def test_periodic_closed_texts_equal_transfer_powers(p):
+    # rows -3P..3P of one range against the transfer power at n >= 0 and its
+    # signed adjugate below 0 (F_{-n} = (-1)^n adj(F_n), L_{-n} = -(-1)^n adj(L_n))
+    period = p._q[4]
+    for fib, rec, sign in ((True, fib_matrix_rec, 1), (False, lucas_matrix_rec, -1)):
+        rows = _closed_texts(p, fib, -3 * period, 3 * period)
+        for n, row in zip(range(-3 * period, 3 * period + 1), rows, strict=True):
+            want = rec(p, n) if n >= 0 else sign * (-1) ** -n * _adj(rec(p, -n))
+            assert row == _spelled(want), (p, fib, n)

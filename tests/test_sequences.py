@@ -159,25 +159,39 @@ def test_memo_fills_resumed_in_any_order_match_the_walk(a, b):
     # reads in a shuffled order over -60..60 make each fill resume at the
     # last two stored terms from an odd or an even j; a read below 0 fills
     # and signs the same list as one above. A read past the stored terms
-    # fills through |n| + 2, so 61 to 63 terms are stored, by the order.
+    # fills through |n| + 2, so 61 to 63 terms are stored, by the order; at
+    # ab = -1 index n mod 12 is read, so 12 to 14 are.
     rng = random.Random(20)
     reference = SeqParams(a, b)
     want = {n: (q_direct(reference, n), l_direct(reference, n)) for n in range(-60, 61)}
+    period = 12 if a * b == -1 else 0
     for _ in range(4):
         order = list(want)
         rng.shuffle(order)
         p, end = SeqParams(a, b), 2
         for n in order:
             assert (q(p, n), l(p, n)) == want[n], (a, b, n)
-            end = abs(n) + 3 if abs(n) >= end else end
-        stored = [t for _, _, _, terms in (p._q, p._l) for t in terms]
+            k = n % period if period else abs(n)
+            end = k + 3 if k >= end else end
+        stored = [t for _, _, _, terms, _ in (p._q, p._l) for t in terms]
         assert len(stored) == 2 * end
+        assert end <= (period + 2 if period else 63)
         assert all(type(t) is F for t in stored)
         assert {n: (q(p, n), l(p, n)) for n in want} == want
 
 
 def _pair(v: F) -> tuple[int, int]:
     return v.numerator, v.denominator
+
+
+def _spell(v: tuple[int, int]) -> tuple[str, str]:
+    # the text of the term and of the term times -3/2, as matrix texts pair them
+    n, d = v
+    return exact._fraction_text(n, d), str(F(-3 * n, 2 * d))
+
+
+def _texts(v: F) -> tuple[str, str]:
+    return str(v), str(v * F(-3, 2))
 
 
 # (1/2, 5/3) grows, (5, 7) is integer, (3/2, -2/3) is periodic, where the
@@ -190,36 +204,44 @@ def test_range_reads_every_span_like_single_terms(a, b):
     # every lo <= hi in -7..8: starts below, at and above 0, odd and even lo,
     # single terms and ranges that end below 0; each on a fresh memo
     reference = SeqParams(a, b)
-    for kernel, name in ((q, "_q"), (l, "_l")):
-        want = {n: _pair(kernel(reference, n)) for n in range(-7, 9)}
+    for kernel, name in ((q_direct, "_q"), (l_direct, "_l")):
+        want = {n: _texts(kernel(reference, n)) for n in range(-7, 9)}
         for lo in range(-7, 9):
             for hi in range(lo, 9):
-                got = list(sequences._range(getattr(SeqParams(a, b), name), lo, hi))
+                got = list(sequences._range(getattr(SeqParams(a, b), name), lo, hi, _spell))
                 assert got == [want[n] for n in range(lo, hi + 1)], (a, b, name, lo, hi)
 
 
 @pytest.mark.parametrize("a, b", RANGE_PAIRS, ids=str)
-@pytest.mark.parametrize("lo, hi", [(-800, -790), (-799, -1), (-401, 5), (0, 800),
+@pytest.mark.parametrize("lo, hi", [(-800, -790), (-799, -1), (-401, 5), (-5, 401), (0, 800),
                                     (600, 640), (777, 801)])
 def test_long_ranges_match_single_terms(a, b, lo, hi):
     reference = SeqParams(a, b)
     for kernel, name in ((q, "_q"), (l, "_l")):
-        got = list(sequences._range(getattr(SeqParams(a, b), name), lo, hi))
-        assert got == [_pair(kernel(reference, n)) for n in range(lo, hi + 1)], (a, b, name)
+        got = list(sequences._range(getattr(SeqParams(a, b), name), lo, hi, _spell))
+        assert got == [_texts(kernel(reference, n)) for n in range(lo, hi + 1)], (a, b, name)
+
+
+def test_negated_texts_never_read_minus_zero():
+    assert [sequences._negated(t) for t in ("0", "5", "-5", "3/2", "-3/2")] == [
+        "0", "-5", "5", "-3/2", "3/2"]
 
 
 def test_range_stores_nothing():
     # the range walks from the two seeds; each memo list keeps only them
     p = SeqParams(F(1, 2), F(5, 3))
-    assert len(list(sequences._range(p._q, -30, 400))) == 431
+    assert len(list(sequences._range(p._q, -30, 400, _spell))) == 431
     assert [p._q[3], p._l[3]] == [[0, 1], [2, F(1, 2)]]
 
 
-@pytest.mark.parametrize("lo, hi, drawn", [(-300, 500, 501), (-300, -200, 301)])
-def test_range_walks_once_up_to_the_farthest_index(monkeypatch, lo, hi, drawn):
+@pytest.mark.parametrize("lo, hi, drawn, spelled", [
+    (-300, 500, 501, 501), (-500, 300, 501, 501), (-300, 300, 301, 301),
+    (-300, -200, 301, 101), (200, 300, 301, 101)])
+def test_range_walks_once_up_to_the_farthest_index(monkeypatch, lo, hi, drawn, spelled):
     # the terms below 0 are signed copies of v_1..v_|lo|, so a range draws
-    # max(|lo|, hi) + 1 terms from one walk
-    pulled = []
+    # max(|lo|, hi) + 1 terms from one walk, and one across 0 spells each
+    # once: the texts of v_-k are those of v_k with their signs flipped
+    pulled, spells = [], []
     walk = sequences._integer_walk
 
     def counted(*seeds):
@@ -229,15 +251,16 @@ def test_range_walks_once_up_to_the_farthest_index(monkeypatch, lo, hi, drawn):
 
     monkeypatch.setattr(sequences, "_integer_walk", counted)
     p = SeqParams(F(1, 2), F(5, 3))
-    assert len(list(sequences._range(p._q, lo, hi))) == hi - lo + 1
-    assert len(pulled) == drawn
+    rows = list(sequences._range(p._q, lo, hi, lambda v: spells.append(v) or _spell(v)))
+    assert len(rows) == hi - lo + 1
+    assert (len(pulled), len(spells)) == (drawn, spelled)
 
 
 def test_range_builds_no_fraction(monkeypatch):
-    # the terms come out as the walk's reduced int pairs, with no Fraction
-    # built to hold them
+    # the terms come out as the walk's reduced int pairs, spelled with no
+    # Fraction built to hold them
     reference = SeqParams(F(1, 2), F(5, 3))
-    want = [_pair(q(reference, n)) for n in range(-500, 501)]
+    want = [(str(q(reference, n)),) for n in range(-500, 501)]
     p = SeqParams(F(1, 2), F(5, 3))
     calls = []
     new = F.__new__
@@ -245,10 +268,57 @@ def test_range_builds_no_fraction(monkeypatch):
         lambda *args, **kwargs: calls.append(args) or new(*args, **kwargs)))
     assert F(1, 2) == F(2, 4) and len(calls) == 2
     calls.clear()
-    got = list(sequences._range(p._q, -500, 500))
+    got = list(sequences._range(p._q, -500, 500, lambda v: (exact._fraction_text(*v),)))
     assert calls == []
     monkeypatch.undo()
     assert got == want
+
+
+def _seeded_periodic_pairs(seed: int, per_class: int) -> list:
+    # (a, ab / a, P) for ab = -1, -2, -3 and a of height up to 30, either sign
+    rng = random.Random(seed)
+    return [(a, F(ab) / a, period) for ab, period in ((-1, 12), (-2, 8), (-3, 6))
+            for a in (F(rng.randint(1, 30), rng.randint(1, 30)) * rng.choice((1, -1))
+                      for _ in range(per_class))]
+
+
+# ab = -1, -2 and -3 with integer, fractional and negative a
+PERIODIC_PAIRS = [(F(3, 2), F(-2, 3), 12), (1, -1, 12), (F(1, 2), -4, 8), (-2, 1, 8),
+                  (F(-1, 3), 9, 6), (3, -1, 6), *_seeded_periodic_pairs(34, 3)]
+
+
+@pytest.mark.parametrize("a, b, period", PERIODIC_PAIRS, ids=str)
+def test_periodic_terms_and_ranges_match_the_walk(a, b, period):
+    # T^2 = (ab + 2) T - I makes the two-step transfer of order 6, 4 or 3,
+    # so every term repeats with period 12, 8 or 6; the memo reads index
+    # n mod P and keeps at most P + 2 terms, and a range spells P texts
+    reference, p = SeqParams(a, b), SeqParams(a, b)
+    assert (p._q[4], p._l[4]) == (period, period)
+    span = range(-3 * period, 3 * period + 1)
+    for kernel, direct, name in ((q, q_direct, "_q"), (l, l_direct, "_l")):
+        want = [direct(reference, n) for n in span]
+        assert [kernel(p, n) for n in span] == want, (a, b, name)
+        assert len(getattr(p, name)[3]) <= period + 2
+        spells = []
+        got = list(sequences._range(getattr(SeqParams(a, b), name), span[0], span[-1],
+                                    lambda v: spells.append(v) or _spell(v)))
+        assert got == [_texts(v) for v in want], (a, b, name)
+        assert len(spells) == period
+        for lo, hi in ((0, 0), (-1, -1), (10**12, 10**12 + 3), (-(10**12), 5)):
+            spells.clear()
+            rows = sequences._range(getattr(SeqParams(a, b), name), lo, hi,
+                                    lambda v: spells.append(v) or _spell(v))
+            assert next(rows) == _texts(direct(reference, lo % period)), (a, b, name, lo)
+            assert len(spells) == period
+
+
+@pytest.mark.parametrize("a, b", [(2, -2), (F(1, 2), -1), (-5, 1), (F(1, 2), F(-3, 5)), (1, 1)],
+                         ids=str)
+def test_other_classes_have_no_period(a, b):
+    # ab = -4, -1/2, -5, -3/10 and 1: T in SL2(Q) has finite order only for
+    # trace ab + 2 in {-1, 0, 1}, since at trace -2 (ab = -4) it is not -I
+    p = SeqParams(a, b)
+    assert (p._q[4], p._l[4]) == (0, 0)
 
 
 def test_memo_fill_does_no_fraction_arithmetic(monkeypatch):
@@ -297,7 +367,7 @@ REDUCTION_PAIRS = [(F(1, 2**20), 2**20, 3000), (F(1, 2**3), 2**3, 3000), (F(-3, 
 @pytest.mark.parametrize("a, b, terms", REDUCTION_PAIRS, ids=str)
 def test_integer_walk_reduces_like_the_fraction_walk(a, b, terms):
     p = SeqParams(a, b)
-    for even, odd, _, seeds in (p._q, p._l):
+    for even, odd, _, seeds, _ in (p._q, p._l):
         walk = islice(sequences._integer_walk(*seeds, even, odd), terms)
         want = islice(sequences.alternating_walk(*seeds, even, odd), terms)
         assert list(walk) == [_pair(v) for v in want], (a, b, seeds)
