@@ -76,8 +76,6 @@ def _rows(args, last: int):
         texts = _range(params._q if kind == "fib" else params._l, lo, last, _scalar_text)
         return ((n, *t) for n, t in enumerate(texts, lo))
     source = source or "closed"
-    if source in ("rec", "binet") and lo < 0:
-        raise CliError(f"source '{source}' requires n >= 0; use --source closed")
     if source == "binet" and not params.binet_allowed:
         raise CliError("ab = -4 is degenerate: alpha = beta, Binet route unavailable")
     if source == "closed":
@@ -94,23 +92,18 @@ def _matrix_values(params: SeqParams, fib: bool, source: str, lo: int, hi: int):
                      else (lucas_matrix_closed, lucas_matrix_binet))
     if source == "binet":
         return (binet(params, n) for n in range(lo, hi + 1))
-    walk = _rec_range(params, fib, max(lo, 0), hi)
-    return walk if source == "rec" else _checked(params, closed, binet, walk, lo, hi)
+    walk = _rec_range(params, fib, lo, hi)
+    return walk if source == "rec" else _checked(params, closed, binet, walk, lo)
 
 
-def _checked(params: SeqParams, closed, binet, walk, lo: int, hi: int):
-    """The closed form of each row n = lo..hi, once ``walk``'s next matrix and
-    Binet agree with it; below 0 only the closed form is defined, and Binet
-    needs ab != -4."""
-    for n in range(lo, hi + 1):
-        values = [closed(params, n)]
-        if n >= 0:
-            values.append(next(walk))
-            if params.binet_allowed:
-                values.append(binet(params, n))
-        if any(v != values[0] for v in values[1:]):
+def _checked(params: SeqParams, closed, binet, walk, lo: int):
+    """The closed form of each row n = lo, lo + 1, ... of ``walk``, once the
+    walk's matrix and Binet agree with it; Binet needs ab != -4."""
+    for n, walked in enumerate(walk, lo):
+        value = closed(params, n)
+        if walked != value or params.binet_allowed and binet(params, n) != value:
             raise CliError("computation routes disagree; please report this")
-        yield values[0]
+        yield value
 
 
 # The templates of a row's fields by format: a rational and a matrix

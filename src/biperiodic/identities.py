@@ -265,7 +265,9 @@ class PairSides:
     def walked(self, start, k: int, *args):
         """Term k >= 0 of the one-step walk ``start(params, *args)``, such as
         :func:`fib_matrix_rec_iter` or :func:`direct_partial_sums`: started
-        once per ``(start, *args)``, its terms kept."""
+        once per ``(start, *args)``, its terms kept; ValueError for k < 0."""
+        if k < 0:
+            raise ValueError("a walk's term needs k >= 0")
         key = (start, *args)
         if key not in self._walks:
             self._walks[key] = ([], start(self.params, *args))

@@ -1,18 +1,18 @@
 """The bi-periodic Fibonacci (F_n) and Lucas (L_n) 2x2 matrix sequences.
 
-Each sequence is computed three independent ways:
+Each sequence is computed three independent ways, each at any integer n:
 
-* recurrence from the initial matrices (n >= 0): F_n steps with q's
-  coefficients and L_n with l's, each read from the one statement of that
-  step rule in :class:`.SeqParams`. A single term, ``*_rec(p, n)``, applies the
-  two-step transfer-matrix power to the seeds in O(log n) products;
-  ``*_rec_iter(p)`` walks the recurrence one step per term
-  (:func:`.sequences.alternating_walk`), and a range walks on from the
-  powers to its first two terms,
-* entrywise closed form built from the scalar kernels (any integer n); a
-  run of them is spelled as text from one walk of the scalar terms, each
-  distinct term spelled once (one period of them when ab is -1, -2 or -3),
-* Binet form (n >= 0, requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
+* recurrence from the initial matrices: F_n steps with q's coefficients
+  and L_n with l's, each read from the one statement of that step rule in
+  :class:`.SeqParams`. A single term, ``*_rec(p, n)``, applies the two-step
+  transfer-matrix power (below 0, of the backward recurrence) to the seeds
+  in O(log |n|) products; ``*_rec_iter(p)`` walks the recurrence one step
+  per term (:func:`.sequences.alternating_walk`), and a range walks on from
+  the powers to its first two terms,
+* entrywise closed form built from the scalar kernels; a run of them is
+  spelled as text from one walk of the scalar terms, each distinct term
+  spelled once (one period of them when ab is -1, -2 or -3),
+* Binet form (requires ab != -4): F_n = s1 F_1 + s0 F_0 (and L_n
   likewise from L_0, L_1), where each coefficient s is a combination of
   alpha^n and beta^n, read as powers of alpha + 1 and beta + 1 since
   alpha^2 = ab (alpha + 1). With ab = u/v in lowest terms,
@@ -65,9 +65,10 @@ def _transfer(v0: Mat2, v1: Mat2, even: Fraction, odd: Fraction, n: int) -> Mat2
     S_k = [[c_k, 1], [1, 0]]. Paired from the right, T is
     (S_odd S_even)^floor((n-1)/2), times one more S_even on the left when n
     is even: O(log n) products instead of n steps. T's top row is read in
-    its integer form, so no Fraction of T is built."""
+    its integer form, so no Fraction of T is built. Below 0, v_n is term -n of
+    the backward recurrence: both coefficients negated, from v_0, v_1 - odd v_0."""
     if n < 0:
-        raise ValueError("the recurrence route needs n >= 0; use the closed form")
+        v1, even, odd, n = v1 - odd * v0, -even, -odd, -n
     if n == 0:
         return v0
     s_even = Mat2(even, 1, 1, 0)
@@ -99,7 +100,7 @@ def lucas_matrix_rec_iter(params: SeqParams):
 
 
 def _rec_range(params: SeqParams, fib: bool, lo: int, hi: int):
-    """F_lo..F_hi (``fib``) or L_lo..L_hi, 0 <= lo: the transfer powers to v_lo
+    """F_lo..F_hi (``fib``) or L_lo..L_hi, any lo: the transfer powers to v_lo
     and v_lo+1, then one recurrence step per row. A one-row range is one power."""
     rec, table = (fib_matrix_rec, params._q) if fib else (lucas_matrix_rec, params._l)
     even, odd = table[:2]
@@ -182,19 +183,21 @@ def _binet(params: SeqParams, seeds: tuple[Mat2, Mat2], steps: tuple, n: int) ->
         s = ((p u + 2v q) Y + p X) / (2v)^k,
 
     rational by construction, and reduced by the primes of 2v den(step)
-    alone. sqrt(r) stays formal, so a square r needs no fold.
-    """
-    if n < 0:
-        raise ValueError("the Binet route needs n >= 0; use the closed form")
+    alone. sqrt(r) stays formal, so a square r needs no fold. For k < 0,
+    (alpha + 1)(beta + 1) = 1 turns h^k / (2v)^k into (u + 2v - sqrt(r))^-k /
+    (2v)^-k. At ab = -1, -2 or -3, n is first reduced mod the period P of
+    :class:`.SeqParams`, as (alpha + 1)^(P/2) = 1 there."""
     if not params.binet_allowed:
         raise BinetDegenerate("ab = -4 makes alpha = beta; Binet form is undefined")
+    if period := params._q[4]:
+        n %= period
     u, v = params.ab.numerator, params.ab.denominator
     k = n // 2
-    h_k = QuadElement(u + 2 * v, 1, u * (u + 4 * v)) ** k
+    h_k = QuadElement(u + 2 * v, 1 if k >= 0 else -1, u * (u + 4 * v)) ** abs(k)
     x, y = h_k.x, h_k.y
     step = steps[n & 1]
     d = step.denominator
-    scale, base = (2 * v) ** k, 2 * v * d
+    scale, base = (2 * v) ** abs(k), 2 * v * d
     stepped = _coprime_fraction(*_reduced(2 * v * y * step.numerator, scale * d, base))
     free = _coprime_fraction(*_reduced(x + u * y if n & 1 else x - u * y, scale, base))
     v0, v1 = seeds

@@ -10,7 +10,8 @@ u_k = (-1)^k v_{-k} obeys the same recurrence with the same parity
 coefficients from u_0 = v_0, u_1 = odd v_0 - v_1: (0, -1) for q and (2, a)
 for l, so u = -q, u = l and each n < 0 is read as +-v_|n| from the one forward
 walk: q_{-1} = 1, q_{-2} = -a, l_{-1} = -a and l_{-2} = ab + 2. Only the
-reference :func:`_walk_term` walks v_{-k} itself, with negated coefficients.
+references, :func:`_walk_term` and the matrix transfer power, walk v_{-k}
+themselves, with negated coefficients.
 
 :func:`q` and :func:`l` keep every term v_0, v_1, ... they have made, per
 instance, as reduced Fractions. A read past the stored terms fills through
@@ -180,8 +181,8 @@ class SeqParams:
     every solution of those steps: the two-step transfer T has det 1 and
     trace ab + 2, so T^2 = (ab + 2) T - I, and T has order 6, 4 or 3 when ab
     is exactly -1, -2 or -3, which makes P 12, 8 or 6; for any other ab, P
-    is 0 (no period). Only :func:`q`, :func:`l` and :func:`_range` read it.
-    Instances are immutable apart from the internal memo growth.
+    is 0 (no period). Only :func:`q`, :func:`l`, :func:`_range` and the Binet
+    route read it. Instances are immutable apart from the internal memo growth.
     """
 
     __slots__ = ("a", "b", "ab", "b_over_a", "a_over_b",

@@ -131,13 +131,12 @@ class TestTerm:
         )
         assert code == 2
 
-    def test_rec_source_needs_nonnegative_index(self, capsys):
-        code, _, err = run_cli(
-            capsys, "term", "--kind", "fib-matrix", "--a", "1", "--b", "1",
-            "--n", "-2", "--source", "rec",
-        )
-        assert code == 2
-        assert "n >= 0" in err
+    def test_every_source_at_negative_index_equals_closed(self, capsys):
+        argv = ["term", "--kind", "fib-matrix", "--a", "1", "--b", "1", "--n", "-2"]
+        closed = run_cli(capsys, *argv, "--source", "closed")
+        assert closed == (0, "[[1, -1], [-1, 2]]\n", "")
+        for source in ("rec", "binet", "all"):
+            assert run_cli(capsys, *argv, "--source", source) == closed, source
 
     def test_bad_rational_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -272,14 +271,15 @@ class TestTable:
     def test_walked_rows_match_the_per_index_routes(self, capsys, kind, a, b):
         # rec rows are one walk from two transfer powers and all rows check it
         # row by row; each row is the per-index transfer power (rec) or the
-        # closed form (all), from even and odd starts and in one-row ranges
+        # closed form (all), from even and odd starts, on either side of 0 and
+        # across it, and in one-row ranges
         p = SeqParams(F(a), F(b))
         fib = kind == "fib-matrix"
         routes = {"rec": matrixseq.fib_matrix_rec if fib else matrixseq.lucas_matrix_rec,
                   "all": matrixseq.fib_matrix_closed if fib else matrixseq.lucas_matrix_closed}
-        ranges = [(0, 0), (1, 1), (9, 9), (0, 12), (1, 13), (8, 20), (9, 21)]
-        for source, lo, hi in [*(("rec", *r) for r in ranges), *(("all", *r) for r in ranges),
-                               ("all", -7, 6), ("all", -6, 0), ("all", -3, 1)]:
+        ranges = [(0, 0), (1, 1), (9, 9), (0, 12), (1, 13), (8, 20), (9, 21),
+                  (-7, 6), (-6, 0), (-3, 1), (-9, -2), (-5, -5)]
+        for source, lo, hi in [*(("rec", *r) for r in ranges), *(("all", *r) for r in ranges)]:
             code, out, err = run_cli(capsys, "table", "--kind", kind, f"--a={a}", f"--b={b}",
                                      f"--n={lo}", "--n-max", str(hi), "--source", source)
             rows = "".join(f"{n},{','.join(_spelled(routes[source](p, n)))}\n"
@@ -287,21 +287,21 @@ class TestTable:
             assert (code, out, err) == (0, "index,e11,e12,e21,e22\n" + rows, ""), (source, lo)
 
 
-# Every exit-2 call of TestTerm and TestTable, and the range checks a table
-# makes before its first row
+# Every exit-2 call of TestTerm and TestTable, and the range and route checks
+# a call makes before its first row
 REJECTED = [
     ["term", "--kind", "fib", "--a", "0", "--b", "1", "--n", "3"],
     ["term", "--kind", "fib", "--a", "x", "--b", "1", "--n", "1"],
     ["term", "--kind", "fib", "--a", "0.5", "--b", "1", "--n", "3"],
     ["term", "--kind", "fib", "--a", "1", "--b", "1", "--n", "3", "--source", "binet"],
     ["term", "--kind", "lucas-matrix", "--a", "2", "--b=-2", "--n", "3", "--source", "binet"],
-    ["term", "--kind", "fib-matrix", "--a", "1", "--b", "1", "--n", "-2", "--source", "rec"],
+    ["term", "--kind", "fib-matrix", "--a", "2", "--b=-2", "--n=-2", "--source", "binet"],
     ["table", "--kind", "lucas", "--a", "1", "--b", "1", "--n", "3", "--n-max", "2"],
     ["table", "--kind", "fib", "--a", "1", "--b", "1", "--n", "0", "--n-max", "4",
      "--source", "closed"],
-    ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=-5", "--n-max=-3",
+    ["table", "--kind", "lucas-matrix", "--a=5/3", "--b=1/2", "--n=-3", "--n-max=-5",
      "--source", "rec"],
-    ["table", "--kind", "fib-matrix", "--a", "1", "--b", "1", "--n=-1", "--n-max", "4",
+    ["table", "--kind", "fib-matrix", "--a=-1", "--b", "4", "--n=-1", "--n-max", "4",
      "--source", "binet"],
     ["table", "--kind", "lucas-matrix", "--a", "2", "--b=-2", "--n", "0", "--n-max", "4",
      "--source", "binet"],
@@ -420,7 +420,7 @@ def test_rec_table_keeps_two_rows_not_the_range():
 @pytest.mark.parametrize("source", ["rec", "all"])
 def test_a_range_makes_two_transfer_powers(capsys, monkeypatch, kind, source):
     # v_lo and v_lo+1 by transfer power, the rest by one step each, and a
-    # term by its one power; below 0 the walk of all starts at 0
+    # term by its one power; a range across 0 is one walk from below 0 too
     made = []
     for name in ("fib_matrix_rec", "lucas_matrix_rec"):
         rec = getattr(matrixseq, name)
@@ -428,9 +428,8 @@ def test_a_range_makes_two_transfer_powers(capsys, monkeypatch, kind, source):
     params = ["--kind", kind, "--a=1/2", "--b=5/3", "--source", source]
     cases = [(["table", "--n", "0", "--n-max", "1"], [0, 1]),
              (["table", "--n", "7", "--n-max", "60"], [7, 8]),
-             (["term", "--n", "7"], [7])]
-    if source == "all":
-        cases.append((["table", "--n=-3", "--n-max", "30"], [0, 1]))
+             (["term", "--n", "7"], [7]),
+             (["table", "--n=-3", "--n-max", "30"], [-3, -2])]
     for argv, powers in cases:
         made.clear()
         code, _, _ = run_cli(capsys, *argv, *params)

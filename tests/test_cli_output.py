@@ -66,21 +66,21 @@ DIGESTS = {
     ("term", "lucas", "2,-2"):
         "c1b1aa97653fdc279d4bc8b63f6f58818a4167c4ff0d9f81833b9be51435a2b7",
     ("term", "fib-matrix", "1,35"):
-        "2c4c43f1278ef4bfa5378fab7ef56e49e52ecc37c45faf2851296df5f79a71c5",
+        "7afd6067cf931323b431daacbc89cd8c83104c300987ddf36851c7e233a6c4ad",
     ("term", "fib-matrix", "5/3,1/2"):
-        "8dd2142dd58a4ebd80ffabfa4bbfb5313db8761c2d3fcf570826220b3fc88ac1",
+        "485ac7666014b4b11649fa187a82cb0f3dd20430ea8a5055acc69272e58b20b8",
     ("term", "fib-matrix", "-1,2"):
-        "29f83afbd75cb32ff2b4608d9f0a6c2357cb406be79f7023b9a5525537e56be6",
+        "ab5483594c56c8b06aa22a907c196eb5c834eac5dfd474b3a132fe336497c87c",
     ("term", "fib-matrix", "2,-2"):
-        "34327d7d00f3247767b237ffdcdc822d3cce6acf726afa2d987b5744ad56d7e0",
+        "6c17be6a48561dec308966c63e23c3a905461093ad803426947441c64ebb1518",
     ("term", "lucas-matrix", "1,35"):
-        "6cd433013400eadb1eae7298c0ac7b30ae6376199411e2eb02cf49497a8ee455",
+        "efdcc3931e97d8c1e99e507b8064b782f189627fe2d2f4321f40781ce4ccbaea",
     ("term", "lucas-matrix", "5/3,1/2"):
-        "74087a107168e6c4abbdae000a05a87bf349417f2162952064757bb9c0339869",
+        "289586eb77e034c25df4b98172757c570086cbd381acb4f3d0441d7029a75ca9",
     ("term", "lucas-matrix", "-1,2"):
-        "c69c2bf809395f5af9cad42a73d83adeefe86eedf2307a4bf09e5459e1c45df3",
+        "d90e32e7dd75f79435acdd9563af93d65a2a4ca2111aa650e7f617400545edba",
     ("term", "lucas-matrix", "2,-2"):
-        "669dcb1239fae3e0207187854b1ba076fbf94c35cabee0bc348ba4b5c1a6e7ff",
+        "475e955525cd5325d5e080b406451c66d02c34c1fa9635eeca1f18c596b6a497",
     ("table", "fib", "1,35"):
         "25c110a926a7d87be1c109bfbce93951b8530b120404441a2da491de6b49cd88",
     ("table", "fib", "5/3,1/2"):
@@ -98,21 +98,21 @@ DIGESTS = {
     ("table", "lucas", "2,-2"):
         "d4331b05d620cbd6608ec42b067934a36d9877b85979ae457e59c41139da6b4d",
     ("table", "fib-matrix", "1,35"):
-        "5716c5774e4b2c9e232a85621b371afbd49f398b056368aac978d19be9edd2e6",
+        "4ef6dff089df3fa31e324312000d00850ddb4babb7353a0786bf9246656c515e",
     ("table", "fib-matrix", "5/3,1/2"):
-        "28714ec0cc312938f5fdf10a53b8beb8a119213efff1e04effc8ed9b08420bf1",
+        "9a7a6cbe36284dee5a0cadb2cc2e9ffa9e4883311de85a0d1d54d9bf1ea59d50",
     ("table", "fib-matrix", "-1,2"):
-        "25a7811cae9e650800e372845dbc500c28c136d9d9708c54a3564350e6337e1e",
+        "aab25742d1cdbc8cb07053efa0baebcd8a4be740bfb16374c6fd53897bee463d",
     ("table", "fib-matrix", "2,-2"):
-        "9a7c4f1dc349b5b1f12a257876fd7b49a0cceeb49b9de4000e8758654ee34080",
+        "adb2cf434a2618d3d2699392b347795d1c224141bdeefeec61f881e74ceb57b8",
     ("table", "lucas-matrix", "1,35"):
-        "4aef4a26b265c59228dd71eff817db8c659d8eb4bd8e79edfe3560b692f3ac13",
+        "7958bf3de2ff5b229231b55e56d95533a379a0d2c1c6f84f365635febf1098bb",
     ("table", "lucas-matrix", "5/3,1/2"):
-        "57737502ce6b7d29addddfd4d6c8a8e03020d2550f0a30464f2eec40ba629aad",
+        "dd86312673ad4689c19c4388c7edc0a0a6801d96e2c463cb7a8c83cffe5996c9",
     ("table", "lucas-matrix", "-1,2"):
-        "8ee3731de9d52a0568e9b8cbba22dfc926b67bb1324bbe1c2b75d771daf4ec00",
+        "8b80c5b25c5483399123a3c314e7fef6565d44ad79397915e15b5d57e81df8bd",
     ("table", "lucas-matrix", "2,-2"):
-        "bb0865a021eceb1b86324c0219fcf1a3a8ef480c35f14e6203ee01984b816e43",
+        "099a99604a24b90471fc84cf0736bc8f0ccf2bcbec0bb2466094717ccbbfbbd6",
     ("series", None, "1,35"):
         "7b29de3b6175f6f6124bb85044c5862bc2e22ea3b1ca1d8140fdddc8cb18932d",
     ("series", None, "5/3,1/2"):

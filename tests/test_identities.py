@@ -261,6 +261,13 @@ class TestPairSides:
         with pytest.raises(ValueError, match="m >= 0"):
             sides.power(sides.fib, 3, -1)
 
+    @pytest.mark.parametrize("family, k", [("triple", -3), ("invsum.finite", -1)])
+    def test_walk_before_its_start_raises(self, family, k):
+        # a row that reads a one-step walk at k < 0 gets a ValueError naming
+        # the bound, as a negative power does
+        with pytest.raises(ValueError, match="k >= 0"):
+            family_checks(family, SeqParams(2, 3), k)
+
 
 class TestFailureRecords:
     """A failing side reaches the report as one full record, and the check

@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from biperiodic import identities, matrixseq, sequences
-from biperiodic.exact import Mat2, _spelled
+from biperiodic.exact import Mat2, QuadElement, _spelled
 from biperiodic.identities import default_grid, run_full_suite
 from biperiodic.matrixseq import (
     _binet,
@@ -67,9 +67,10 @@ class TestFibMatrix:
         prod = fib_matrix_closed(p, 1) * fib_matrix_closed(p, -1)
         assert prod == (p.b / p.a) * Mat2.identity()
 
-    def test_rec_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            fib_matrix_rec(SeqParams(1, 1), -1)
+    def test_rec_at_negative_index_equals_closed(self):
+        for p in SAMPLE:
+            for n in range(-12, 0):
+                assert fib_matrix_rec(p, n) == fib_matrix_closed(p, n), (p, n)
 
     def test_binet_identity_at_zero(self):
         for p in SAMPLE:
@@ -339,23 +340,36 @@ def _adj(m: Mat2) -> Mat2:
     return Mat2(m.e22, -m.e12, -m.e21, m.e11)
 
 
-@pytest.mark.parametrize("p", default_grid(), ids=str)
+# (sign, closed, rec, Binet) of F_n and L_n: F_{-n} = (-1)^n adj(F_n) and
+# L_{-n} = (-1)^(n+1) adj(L_n)
+ROUTES = [(1, fib_matrix_closed, fib_matrix_rec, fib_matrix_binet),
+          (-1, lucas_matrix_closed, lucas_matrix_rec, lucas_matrix_binet)]
+
+
+def _assert_routes_below_0(p, n, want, closed, rec, binet):
+    assert closed(p, -n) == want, (p, closed.__name__, n)
+    assert rec(p, -n) == want, (p, rec.__name__, n)
+    if p.binet_allowed:
+        assert binet(p, -n) == want, (p, binet.__name__, n)
+
+
+@pytest.mark.parametrize("p", TRANSFER_PAIRS, ids=str)
 def test_closed_forms_below_0_are_signed_adjugates_of_transfer_powers(p):
-    # F_{-n} = (-1)^n adj(F_n) and L_{-n} = (-1)^(n+1) adj(L_n): the closed
-    # form's signed reads below 0 against the transfer power at n >= 0
-    for n in range(21):
-        assert fib_matrix_closed(p, -n) == (-1) ** n * _adj(fib_matrix_rec(p, n)), (p, n)
-        assert (lucas_matrix_closed(p, -n)
-                == (-1) ** (n + 1) * _adj(lucas_matrix_rec(p, n))), (p, n)
+    # the closed form's signed reads, the backward transfer power and Binet's
+    # conjugate power below 0 against the transfer power at n >= 0
+    for n in range(65):
+        for sign, closed, rec, binet in ROUTES:
+            want = sign * (-1) ** n * _adj(rec(p, n))
+            _assert_routes_below_0(p, n, want, closed, rec, binet)
 
 
 @pytest.mark.parametrize("p", [p for p in TRANSFER_PAIRS if p.binet_allowed], ids=str)
 def test_closed_forms_below_0_are_signed_adjugates_of_binet_forms(p):
     # the same sign identity read against the Binet route, D < 0 included
-    for n in range(21):
-        assert fib_matrix_closed(p, -n) == (-1) ** n * _adj(fib_matrix_binet(p, n)), (p, n)
-        assert (lucas_matrix_closed(p, -n)
-                == (-1) ** (n + 1) * _adj(lucas_matrix_binet(p, n))), (p, n)
+    for n in range(65):
+        for sign, closed, rec, binet in ROUTES:
+            want = sign * (-1) ** n * _adj(binet(p, n))
+            _assert_routes_below_0(p, n, want, closed, rec, binet)
 
 
 class TestTransferPower:
@@ -370,10 +384,14 @@ class TestTransferPower:
             for n, term in enumerate(islice(walk(p), 65)):
                 assert rec(p, n) == term, (p, rec.__name__, n)
 
-    @pytest.mark.parametrize("rec", [fib_matrix_rec, lucas_matrix_rec])
-    def test_negative_index_raises(self, rec):
-        with pytest.raises(ValueError, match="needs n >= 0; use the closed form"):
-            rec(SeqParams(2, 3), -1)
+    @pytest.mark.parametrize("closed, rec", [(fib_matrix_closed, fib_matrix_rec),
+                                             (lucas_matrix_closed, lucas_matrix_rec)],
+                             ids=["fib", "lucas"])
+    def test_negative_index_equals_closed_form(self, closed, rec):
+        # the backward transfer power at both parities, deep enough to pair steps
+        p = SeqParams(2, 3)
+        for n in (-1, -2, -3, -64, -65):
+            assert rec(p, n) == closed(p, n), (rec.__name__, n)
 
     def test_deep_terms_equal_binet_within_budget(self):
         p = SeqParams(F(1, 2), F(5, 3))
@@ -417,6 +435,22 @@ def test_periodic_closed_forms_equal_transfer_powers_at_any_depth(p):
     for n in (10**12, 10**12 + 1, 10**15 + 7):
         assert fib_matrix_closed(p, n) == fib_matrix_rec(p, n), (p, n)
         assert lucas_matrix_closed(p, n) == lucas_matrix_rec(p, n), (p, n)
+
+
+@pytest.mark.parametrize("p", PERIODIC, ids=str)
+def test_periodic_binet_reads_n_mod_the_period(p, monkeypatch):
+    # Binet powers (u + 2v +- sqrt(r)) to at most floor((n mod P) / 2), and
+    # agrees with the transfer power, which never reads the period
+    period, quad_pow = p._q[4], QuadElement.__pow__
+
+    def power(h, k):
+        assert k < period // 2, k
+        return quad_pow(h, k)
+
+    monkeypatch.setattr(QuadElement, "__pow__", power)
+    for n in (10**12, 10**12 + 1, -10**12 - 7, 10**15 + 3):
+        for _, closed, rec, binet in ROUTES:
+            assert closed(p, n) == rec(p, n) == binet(p, n), (p, binet.__name__, n)
 
 
 @pytest.mark.parametrize("p", PERIODIC, ids=str)
